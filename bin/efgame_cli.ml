@@ -25,6 +25,37 @@ let pp_word ppf w = Words.Word.pp ppf w
 
 type stop_reason = Signal of Rt.Signal.source | Deadline
 
+(* Usage errors and unreadable inputs: log and exit 2, the code every
+   command reserves for them. *)
+let fail ?(tag = "shard") fmt =
+  Format.kasprintf
+    (fun msg ->
+      Obs.Log.err ~tag "%s" msg;
+      exit 2)
+    fmt
+
+let deadline_of = Option.fold ~none:Rt.Deadline.none ~some:Rt.Deadline.after
+
+let arm_faults spec =
+  match Rt.Fault.setup ?spec () with
+  | Ok () ->
+      if Rt.Fault.enabled () then
+        Obs.Log.warn ~tag:"fault" "fault injection armed"
+  | Error msg -> fail ~tag:"fault" "%s" msg
+
+let arm_metrics path =
+  Obs.Metrics.enable ();
+  at_exit (fun () -> Obs.Metrics.dump ~path)
+
+(* the flight ring dumps from the signal path (handlers run at safe
+   points, so file I/O is fine there) and again at exit — the exit dump
+   runs after the final checkpoint, so a SIGTERMed process's last
+   flight events include that checkpoint *)
+let arm_flight path =
+  Obs.Events.enable ();
+  Rt.Signal.add_hook (fun _ -> Obs.Events.dump ~path);
+  at_exit (fun () -> Obs.Events.dump ~path)
+
 (* ---------------------------------------------------------------- JSON *)
 
 let write_scan_json ~path ~mode ~k ~max_n ~jobs ~budget ~outcome ~stop_reason
@@ -98,17 +129,10 @@ let write_scan_json ~path ~mode ~k ~max_n ~jobs ~budget ~outcome ~stop_reason
 
 (* ------------------------------------------------------------- driver *)
 
-let run words rounds explain budget scan classes frontier max_n use_cache jobs
+let run () words rounds explain budget scan classes frontier max_n use_cache jobs
     stats table resume salvage checkpoint_s deadline_s inject_faults json trace
-    metrics telemetry telemetry_interval flight quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
-  (match Rt.Fault.setup ?spec:inject_faults () with
-  | Ok () ->
-      if Rt.Fault.enabled () then
-        Obs.Log.warn ~tag:"fault" "fault injection armed"
-  | Error msg ->
-      Obs.Log.err "%s" msg;
-      exit 2);
+    metrics telemetry telemetry_interval flight =
+  arm_faults inject_faults;
   Rt.Signal.install ();
   (* telemetry sinks flush on every exit path via at_exit *)
   (match trace with
@@ -116,21 +140,8 @@ let run words rounds explain budget scan classes frontier max_n use_cache jobs
       Obs.Trace.start ~path ();
       at_exit Obs.Trace.finish
   | None -> ());
-  (match metrics with
-  | Some path ->
-      Obs.Metrics.enable ();
-      at_exit (fun () -> Obs.Metrics.dump ~path)
-  | None -> ());
-  (* the flight ring dumps from the signal path (handlers run at safe
-     points, so file I/O is fine there) and again at exit — the exit
-     dump runs after the final checkpoint, so a SIGTERMed scan's last
-     flight events include that checkpoint *)
-  (match flight with
-  | Some path ->
-      Obs.Events.enable ();
-      Rt.Signal.add_hook (fun _ -> Obs.Events.dump ~path);
-      at_exit (fun () -> Obs.Events.dump ~path)
-  | None -> ());
+  Option.iter arm_metrics metrics;
+  Option.iter arm_flight flight;
   let progress_pairs = Atomic.make 0 in
   (match telemetry with
   | Some path ->
@@ -156,11 +167,7 @@ let run words rounds explain budget scan classes frontier max_n use_cache jobs
     | Some c, _ -> Efgame.Witness.Cached c
     | None, _ -> Efgame.Witness.Seed
   in
-  let deadline =
-    match deadline_s with
-    | Some s -> Rt.Deadline.after s
-    | None -> Rt.Deadline.none
-  in
+  let deadline = deadline_of deadline_s in
   (* First trigger wins and latches: every subsequent poll is one ref
      read, and the reason survives to pick the exit code. *)
   let stop_reason = ref None in
@@ -195,10 +202,9 @@ let run words rounds explain budget scan classes frontier max_n use_cache jobs
               Efgame.Cache.reset_counters c;
               (r.Efgame.Persist.entries, r.Efgame.Persist.bound)
           | Error e ->
-              Obs.Log.err ~tag:"table"
-                "cannot resume from %s: %a%s" file Efgame.Persist.pp_error e
-                (if salvage then "" else " (try --salvage)");
-              exit 2)
+              fail ~tag:"table" "cannot resume from %s: %a%s" file
+                Efgame.Persist.pp_error e
+                (if salvage then "" else " (try --salvage)"))
         else (
           Obs.Log.warn ~tag:"table"
             "%s does not exist yet; starting a fresh scan" file;
@@ -435,8 +441,7 @@ let table_info file =
    recovery of the others. Exit 0 when every input merged, 1 when the
    output was written from a strict subset, 2 when nothing merged or the
    output could not be written. *)
-let table_merge out ins salvage quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let table_merge () out ins salvage =
   let cache = Efgame.Cache.create () in
   let merged = ref 0 and skipped = ref 0 in
   List.iter
@@ -454,10 +459,8 @@ let table_merge out ins salvage quiet verbose =
             Efgame.Persist.pp_error e
             (if salvage then "" else " (try --salvage)"))
     ins;
-  if !merged = 0 then begin
-    Obs.Log.err ~tag:"table" "no input could be merged; not writing %s" out;
-    exit 2
-  end;
+  if !merged = 0 then
+    fail ~tag:"table" "no input could be merged; not writing %s" out;
   match Efgame.Persist.save cache out with
   | Ok n ->
       Format.printf "merged %d/%d snapshots -> %s (%d entries%s)@." !merged
@@ -466,9 +469,7 @@ let table_merge out ins salvage quiet verbose =
          else "");
       exit (if !skipped > 0 then 1 else 0)
   | Error e ->
-      Obs.Log.err ~tag:"table" "cannot write %s: %a" out
-        Efgame.Persist.pp_error e;
-      exit 2
+      fail ~tag:"table" "cannot write %s: %a" out Efgame.Persist.pp_error e
 
 (* ---------------------------------------------------- trace subcommands *)
 
@@ -480,8 +481,7 @@ let table_merge out ins salvage quiet verbose =
    two workers that both called themselves "efgame" stay
    distinguishable. An unreadable input is skipped, not fatal, exactly
    like a corrupt shard table under [table merge]. *)
-let trace_merge out ins quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let trace_merge () out ins =
   let module R = Obs.Jsonr in
   let module J = Obs.Jsonw in
   let seen_labels = Hashtbl.create 8 in
@@ -540,10 +540,8 @@ let trace_merge out ins quiet verbose =
                 (List.length evs) pid;
               chunks := List.map remap evs :: !chunks))
     ins;
-  if !merged = 0 then begin
-    Obs.Log.err ~tag:"trace" "no input could be merged; not writing %s" out;
-    exit 2
-  end;
+  if !merged = 0 then
+    fail ~tag:"trace" "no input could be merged; not writing %s" out;
   let events = List.concat (List.rev !chunks) in
   J.to_file out (fun w ->
       J.obj w (fun w ->
@@ -572,7 +570,7 @@ let trace_merge out ins quiet verbose =
 (* [--cost-model] spellings: "uniform", "power[:ALPHA]", or "auto" —
    fit the exponent from a prior run's completion-record wall times
    ([--calibrate DIR]), falling back to the static Power default. *)
-let resolve_cost_model ~fail spec calibrate =
+let resolve_cost_model spec calibrate =
   match String.lowercase_ascii spec with
   | "auto" -> (
       let fallback = Dist.Cost.Power Dist.Cost.default_alpha in
@@ -585,7 +583,7 @@ let resolve_cost_model ~fail spec calibrate =
           fallback
       | Some cdir -> (
           match Dist.Manifest.load ~dir:cdir with
-          | Error msg -> fail (Printf.sprintf "--calibrate %s: %s" cdir msg)
+          | Error msg -> fail "--calibrate %s: %s" cdir msg
           | Ok cm ->
               let samples =
                 Array.to_list cm.Dist.Manifest.shards
@@ -610,20 +608,10 @@ let resolve_cost_model ~fail spec calibrate =
   | spec -> (
       match Dist.Cost.of_string spec with
       | Ok m -> m
-      | Error msg -> fail msg)
+      | Error msg -> fail "%s" msg)
 
-let shard_init dir k max_n shards cost_model calibrate quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        Obs.Log.err ~tag:"shard" "%s" msg;
-        exit 2)
-      fmt
-  in
-  let model =
-    resolve_cost_model ~fail:(fun msg -> fail "%s" msg) cost_model calibrate
-  in
+let shard_init () dir k max_n shards cost_model calibrate =
+  let model = resolve_cost_model cost_model calibrate in
   match Dist.Manifest.create ~model ~k ~max_n ~shards () with
   | exception Invalid_argument msg -> fail "%s" msg
   | m -> (
@@ -661,46 +649,23 @@ let write_worker_json ~path ~dir ~wall_s (s : Dist.Worker.summary) =
           J.field w "faults" (fun w ->
               if Rt.Fault.enabled () then Rt.Fault.write_json w else J.null w)))
 
-let shard_work dir ttl jobs budget attempts max_requeues deadline_s
-    inject_faults chaos speculate throttle json metrics heartbeat flight quiet
-    verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let shard_work () dir ttl jobs budget attempts max_requeues deadline_s
+    inject_faults chaos speculate throttle json metrics heartbeat flight =
   (match Dist.Store.setup ?spec:chaos () with
   | Ok () ->
       let st = Dist.Store.active () in
       if st.Dist.Store.label <> "posix" then
         Obs.Log.warn ~tag:"chaos" "hostile store armed: %s" st.Dist.Store.label
-  | Error msg ->
-      Obs.Log.err "%s" msg;
-      exit 2);
-  (match Rt.Fault.setup ?spec:inject_faults () with
-  | Ok () ->
-      if Rt.Fault.enabled () then
-        Obs.Log.warn ~tag:"fault" "fault injection armed"
-  | Error msg ->
-      Obs.Log.err "%s" msg;
-      exit 2);
+  | Error msg -> fail ~tag:"chaos" "%s" msg);
+  arm_faults inject_faults;
   Rt.Signal.install ();
-  (match metrics with
-  | Some path ->
-      Obs.Metrics.enable ();
-      at_exit (fun () -> Obs.Metrics.dump ~path)
-  | None -> ());
+  Option.iter arm_metrics metrics;
   (* the worker's tick thread dumps the ring too (cfg.flight below);
      the signal hook and at_exit cover the paths between ticks, so the
      last flight events of a SIGTERMed worker include its final
      checkpoint, written before the exit dump *)
-  (match flight with
-  | Some path ->
-      Obs.Events.enable ();
-      Rt.Signal.add_hook (fun _ -> Obs.Events.dump ~path);
-      at_exit (fun () -> Obs.Events.dump ~path)
-  | None -> ());
-  let deadline =
-    match deadline_s with
-    | Some s -> Rt.Deadline.after s
-    | None -> Rt.Deadline.none
-  in
+  Option.iter arm_flight flight;
+  let deadline = deadline_of deadline_s in
   let cfg =
     {
       (Dist.Worker.default_config ~dir) with
@@ -718,9 +683,7 @@ let shard_work dir ttl jobs budget attempts max_requeues deadline_s
   in
   let t0 = Unix.gettimeofday () in
   match Dist.Worker.run cfg with
-  | Error msg ->
-      Obs.Log.err ~tag:"shard" "%s" msg;
-      exit 2
+  | Error msg -> fail "%s" msg
   | Ok s ->
       let wall_s = Unix.gettimeofday () -. t0 in
       Format.printf
@@ -734,9 +697,7 @@ let shard_work dir ttl jobs budget attempts max_requeues deadline_s
           "worker: %d speculation(s), %d win(s), %d duplicate(s) discarded@."
           s.Dist.Worker.speculated s.Dist.Worker.spec_wins
           s.Dist.Worker.deduped;
-      (match json with
-      | Some path -> write_worker_json ~path ~dir ~wall_s s
-      | None -> ());
+      Option.iter (fun path -> write_worker_json ~path ~dir ~wall_s s) json;
       (match Rt.Signal.pending () with
       | Some src ->
           Obs.Log.warn ~tag:"shard" "%s: leases released, exiting"
@@ -745,12 +706,9 @@ let shard_work dir ttl jobs budget attempts max_requeues deadline_s
       | None -> ());
       exit (if s.Dist.Worker.quarantined > 0 then 1 else 0)
 
-let shard_status dir ttl json quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let shard_status () dir ttl json =
   match Dist.Manifest.load ~dir with
-  | Error msg ->
-      Obs.Log.err ~tag:"shard" "%s" msg;
-      exit 2
+  | Error msg -> fail "%s" msg
   | Ok m ->
       let detail s =
         let id = s.Dist.Manifest.id in
@@ -862,12 +820,9 @@ let shard_status dir ttl json quiet verbose =
    are shown but excluded from throughput and the ETA. Exit codes
    mirror [shard status]: 0 all done, 3 work remaining, 1 quarantine-
    blocked. *)
-let shard_top dir ttl stale_after watch json quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let shard_top () dir ttl stale_after watch json =
   match Dist.Manifest.load ~dir with
-  | Error msg ->
-      Obs.Log.err ~tag:"shard" "%s" msg;
-      exit 2
+  | Error msg -> fail "%s" msg
   | Ok m ->
       Rt.Signal.install ();
       let once () =
@@ -922,12 +877,19 @@ let shard_top dir ttl stale_after watch json quiet verbose =
           in
           loop ())
 
-let shard_merge dir out threshold quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+(* what a merge established, shared by [shard merge] and [shard run] *)
+let print_merge_verdict (t : Dist.Merge.t) =
+  Option.iter
+    (fun (p, q) -> Format.printf "minimal pair across shards: a^%d ≡ a^%d@." p q)
+    t.found;
+  Option.iter
+    (fun (k, n) ->
+      Format.printf "proven bound stamped: no ≡_%d pair with q ≤ %d@." k n)
+    t.bound
+
+let shard_merge () dir out threshold =
   match Dist.Merge.merge ~salvage_threshold:threshold ~dir ~out () with
-  | Error msg ->
-      Obs.Log.err ~tag:"shard" "%s" msg;
-      exit 2
+  | Error msg -> fail "%s" msg
   | Ok t ->
       List.iter
         (fun (id, st) ->
@@ -948,22 +910,12 @@ let shard_merge dir out threshold quiet verbose =
          quarantined, %d missing@."
         t.Dist.Merge.merged t.Dist.Merge.salvaged out t.Dist.Merge.entries
         t.Dist.Merge.quarantined t.Dist.Merge.missing;
-      (match t.Dist.Merge.found with
-      | Some (p, q) ->
-          Format.printf "minimal pair across shards: a^%d ≡ a^%d@." p q
-      | None -> ());
-      (match t.Dist.Merge.bound with
-      | Some (k, n) ->
-          Format.printf "proven bound stamped: no ≡_%d pair with q ≤ %d@." k n
-      | None -> ());
+      print_merge_verdict t;
       exit (if Dist.Merge.complete t then 0 else 1)
 
-let shard_audit dir table sample seed budget salvage quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let shard_audit () dir table sample seed budget salvage =
   match Dist.Audit.audit ~seed ?budget ~sample ~salvage ~dir ~table () with
-  | Error msg ->
-      Obs.Log.err ~tag:"shard" "%s" msg;
-      exit 2
+  | Error msg -> fail "%s" msg
   | Ok a ->
       List.iter
         (fun { Dist.Audit.p; q; table = t; fresh } ->
@@ -982,14 +934,9 @@ let shard_audit dir table sample seed budget salvage quiet verbose =
 
 (* --------------------------------------------------------- shard heal *)
 
-let shard_heal dir budget jobs deadline_s json quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let shard_heal () dir budget jobs deadline_s json =
   Rt.Signal.install ();
-  let deadline =
-    match deadline_s with
-    | Some s -> Rt.Deadline.after s
-    | None -> Rt.Deadline.none
-  in
+  let deadline = deadline_of deadline_s in
   let cfg =
     {
       (Dist.Heal.default_config ~dir) with
@@ -999,9 +946,7 @@ let shard_heal dir budget jobs deadline_s json quiet verbose =
     }
   in
   match Dist.Heal.heal_all ~cfg with
-  | Error msg ->
-      Obs.Log.err ~tag:"shard" "%s" msg;
-      exit 2
+  | Error msg -> fail "%s" msg
   | Ok f ->
       List.iter
         (fun (id, r) ->
@@ -1057,209 +1002,12 @@ let shard_heal dir budget jobs deadline_s json quiet verbose =
 
 (* ---------------------------------------------------------- shard run *)
 
-(* The self-healing convergence controller behind [shard run] and the
-   soak's drain: alternate a work phase — an elastic fleet of real
-   worker processes (speculation armed by the caller's [spawn]),
-   respawned on death until nothing is Pending or Leased or the phase
-   deadline fires — with a heal phase over whatever got quarantined,
-   until the directory is terminal or a whole round makes no progress.
-   Merging is the caller's last step; the controller only drives the
-   directory itself to convergence. *)
-
-type converge_report = {
-  cv_rounds : int;
-  cv_spawned : int;
-  cv_respawns : int;
-  cv_healed : int;
-  cv_heal_failures : int;
-  cv_poisoned : int;  (** shards still quarantined at the end *)
-  cv_converged : bool;  (** nothing pending, leased, or quarantined *)
-  cv_phases : (string * int * float) list;  (** phase, round, wall s *)
-}
-
-let converge ~dir ~ttl ~workers ~rounds ~heal_budget ~heal_jobs
-    ~phase_deadline_s ~spawn (m : Dist.Manifest.t) =
-  let counts () = Dist.Manifest.counts ~dir ~ttl m in
-  let fleet = ref [] in
-  let spawned = ref 0 in
-  let reap () =
-    fleet :=
-      List.filter
-        (fun pid ->
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> true
-          | _ -> false
-          | exception Unix.Unix_error _ -> false)
-        !fleet
-  in
-  let stop_fleet () =
-    List.iter
-      (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-      !fleet;
-    List.iter
-      (fun pid ->
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      !fleet;
-    fleet := []
-  in
-  let phase_deadline () =
-    match phase_deadline_s with
-    | Some s -> Rt.Deadline.after s
-    | None -> Rt.Deadline.none
-  in
-  let phases = ref [] in
-  let healed = ref 0 and heal_failures = ref 0 in
-  let interrupted () = Rt.Signal.pending () <> None in
-  let rec round_loop round =
-    if round > rounds || interrupted () then round - 1
-    else begin
-      let c0 = counts () in
-      if c0.Dist.Manifest.pending + c0.Dist.Manifest.leased > 0 then begin
-        let t0 = Unix.gettimeofday () in
-        let deadline = phase_deadline () in
-        let rec drive () =
-          reap ();
-          let c = counts () in
-          if
-            c.Dist.Manifest.pending + c.Dist.Manifest.leased = 0
-            || Rt.Deadline.expired deadline
-            || interrupted ()
-          then ()
-          else begin
-            while List.length !fleet < workers do
-              fleet := spawn () :: !fleet;
-              incr spawned
-            done;
-            Unix.sleepf 0.2;
-            drive ()
-          end
-        in
-        drive ();
-        stop_fleet ();
-        phases :=
-          ("work", round, Unix.gettimeofday () -. t0) :: !phases
-      end;
-      let c1 = counts () in
-      if c1.Dist.Manifest.quarantined > 0 && not (interrupted ()) then begin
-        let t0 = Unix.gettimeofday () in
-        let cfg =
-          {
-            (Dist.Heal.default_config ~dir) with
-            Dist.Heal.budget = heal_budget;
-            jobs = max 1 heal_jobs;
-            deadline = phase_deadline ();
-          }
-        in
-        (match Dist.Heal.heal_all ~cfg with
-        | Ok f ->
-            healed := !healed + f.Dist.Heal.healed;
-            heal_failures := !heal_failures + f.Dist.Heal.failed
-        | Error msg ->
-            Obs.Log.err ~tag:"run" "heal: %s" msg;
-            incr heal_failures);
-        phases := ("heal", round, Unix.gettimeofday () -. t0) :: !phases
-      end;
-      let c2 = counts () in
-      let terminal =
-        c2.Dist.Manifest.pending + c2.Dist.Manifest.leased = 0
-      in
-      if terminal && c2.Dist.Manifest.quarantined = 0 then round
-      else if
-        (* a round that moved nothing forward will not move the next
-           one either: irreducible poison or a wedged store — stop
-           instead of respawning forever *)
-        c2.Dist.Manifest.done_ > c0.Dist.Manifest.done_
-        || c2.Dist.Manifest.quarantined < c1.Dist.Manifest.quarantined
-      then round_loop (round + 1)
-      else round
-    end
-  in
-  let rounds_used = max 1 (round_loop 1) in
-  stop_fleet ();
-  let c = counts () in
-  {
-    cv_rounds = rounds_used;
-    cv_spawned = !spawned;
-    cv_respawns = max 0 (!spawned - workers);
-    cv_healed = !healed;
-    cv_heal_failures = !heal_failures;
-    cv_poisoned = c.Dist.Manifest.quarantined;
-    cv_converged =
-      c.Dist.Manifest.pending + c.Dist.Manifest.leased = 0
-      && c.Dist.Manifest.quarantined = 0;
-    cv_phases = List.rev !phases;
-  }
-
-(* Drain tail: how long the last window outlived the median completion
-   — the metric cost-model manifests exist to shrink. Derived from the
-   done files' store mtimes, so it survives the controller restarting. *)
-let drain_tail_s ~dir (m : Dist.Manifest.t) =
-  let st = Dist.Store.active () in
-  let mtimes =
-    Array.to_list m.Dist.Manifest.shards
-    |> List.filter_map (fun s ->
-           match
-             st.Dist.Store.mtime (Dist.Manifest.done_path dir s.Dist.Manifest.id)
-           with
-           | Ok t -> Some t
-           | Error _ -> None)
-    |> List.sort compare
-  in
-  match mtimes with
-  | [] | [ _ ] -> None
-  | ts ->
-      let a = Array.of_list ts in
-      let n = Array.length a in
-      let median =
-        if n mod 2 = 1 then a.(n / 2)
-        else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-      in
-      Some (Float.max 0. (a.(n - 1) -. median))
-
-(* The merge itself can quarantine a shard — table unreadable or
-   damaged at merge time (torn-record debris after a SIGKILL, a store
-   that lied about a write) — which the work/heal rounds above never
-   see because it happens after they finish. Close the self-healing
-   loop over that too: when a merge quarantines anything, heal and
-   re-merge, bounded by [rounds]. Returns the last merge result plus
-   how many shards this extra loop healed. *)
-let merge_until_clean ~dir ~out ~rounds ~budget ~jobs () =
-  let healed = ref 0 in
-  let rec go attempt =
-    let r = Dist.Merge.merge ~dir ~out () in
-    match r with
-    | Ok t when t.Dist.Merge.quarantined > 0 && attempt < rounds -> (
-        Obs.Log.warn ~tag:"run"
-          "merge quarantined %d shard(s); healing and re-merging"
-          t.Dist.Merge.quarantined;
-        let cfg =
-          {
-            (Dist.Heal.default_config ~dir) with
-            Dist.Heal.budget;
-            jobs = max 1 jobs;
-          }
-        in
-        match Dist.Heal.heal_all ~cfg with
-        | Ok f when f.Dist.Heal.healed > 0 ->
-            healed := !healed + f.Dist.Heal.healed;
-            go (attempt + 1)
-        | Ok _ | Error _ -> r)
-    | _ -> r
-  in
-  let r = go 1 in
-  (r, !healed)
-
-let shard_run dir out workers ttl rounds budget jobs phase_deadline_s json
-    quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+(* The convergence controller itself is {!Dist.Run.converge}; the CLI
+   owns only how a worker process is started (argv plus a log file)
+   and the report. *)
+let shard_run () dir out workers ttl rounds budget jobs phase_deadline_s json =
   Rt.Signal.install ();
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        Obs.Log.err ~tag:"run" "%s" msg;
-        exit 2)
-      fmt
-  in
+  let fail fmt = fail ~tag:"run" fmt in
   if workers < 1 then fail "--workers must be at least 1";
   match Dist.Manifest.load ~dir with
   | Error msg -> fail "%s" msg
@@ -1295,47 +1043,35 @@ let shard_run dir out workers ttl rounds budget jobs phase_deadline_s json
         ttl rounds;
       let t0 = Unix.gettimeofday () in
       let cv =
-        converge ~dir ~ttl ~workers ~rounds ~heal_budget:budget
-          ~heal_jobs:jobs ~phase_deadline_s ~spawn m
+        Dist.Run.converge ?phase_deadline_s ?budget ~jobs ~dir ~ttl ~workers
+          ~rounds ~out ~spawn m
       in
       let wall_s = Unix.gettimeofday () -. t0 in
-      let merge_result, merge_healed =
-        merge_until_clean ~dir ~out ~rounds ~budget ~jobs ()
-      in
-      let cv = { cv with cv_healed = cv.cv_healed + merge_healed } in
-      let tail = drain_tail_s ~dir m in
+      let tail = Dist.Run.drain_tail_s ~dir m in
       List.iter
         (fun (phase, round, wall) ->
           Format.printf "phase %s (round %d): %.1fs@." phase round wall)
-        cv.cv_phases;
+        cv.Dist.Run.phases;
       Format.printf
         "run: %d round(s), %d spawn(s) (%d respawns), %d healed, %d \
          poisoned, %.1fs@."
-        cv.cv_rounds cv.cv_spawned cv.cv_respawns cv.cv_healed cv.cv_poisoned
-        wall_s;
+        cv.Dist.Run.rounds cv.Dist.Run.spawned cv.Dist.Run.respawns
+        cv.Dist.Run.healed cv.Dist.Run.poisoned wall_s;
       (match tail with
       | Some t -> Format.printf "drain tail: %.1fs past the median window@." t
       | None -> ());
       let t_merge, code =
-        match merge_result with
+        match cv.Dist.Run.merge with
         | Error msg ->
             Obs.Log.err ~tag:"run" "merge: %s" msg;
             (None, 2)
         | Ok t ->
-            (match t.Dist.Merge.found with
-            | Some (p, q) ->
-                Format.printf "minimal pair across shards: a^%d ≡ a^%d@." p q
-            | None -> ());
-            (match t.Dist.Merge.bound with
-            | Some (k, n) ->
-                Format.printf
-                  "proven bound stamped: no ≡_%d pair with q ≤ %d@." k n
-            | None -> ());
+            print_merge_verdict t;
             Format.printf "merged %d shard(s) -> %s: %d entries@."
               t.Dist.Merge.merged out t.Dist.Merge.entries;
             ( Some t,
               if
-                cv.cv_converged
+                cv.Dist.Run.converged
                 && Dist.Merge.complete t
                 && t.Dist.Merge.bound <> None
               then 0
@@ -1352,13 +1088,13 @@ let shard_run dir out workers ttl rounds budget jobs phase_deadline_s json
                   J.field_string w "model"
                     (Dist.Cost.to_string m.Dist.Manifest.model);
                   J.field_int w "workers" workers;
-                  J.field_int w "rounds" cv.cv_rounds;
-                  J.field_int w "spawned" cv.cv_spawned;
-                  J.field_int w "respawns" cv.cv_respawns;
-                  J.field_int w "healed" cv.cv_healed;
-                  J.field_int w "heal_failures" cv.cv_heal_failures;
-                  J.field_int w "poisoned" cv.cv_poisoned;
-                  J.field_bool w "converged" cv.cv_converged;
+                  J.field_int w "rounds" cv.Dist.Run.rounds;
+                  J.field_int w "spawned" cv.Dist.Run.spawned;
+                  J.field_int w "respawns" cv.Dist.Run.respawns;
+                  J.field_int w "healed" cv.Dist.Run.healed;
+                  J.field_int w "heal_failures" cv.Dist.Run.heal_failures;
+                  J.field_int w "poisoned" cv.Dist.Run.poisoned;
+                  J.field_bool w "converged" cv.Dist.Run.converged;
                   J.field_float ~prec:2 w "wall_s" wall_s;
                   (match tail with
                   | Some t -> J.field_float ~prec:2 w "drain_tail_s" t
@@ -1371,7 +1107,7 @@ let shard_run dir out workers ttl rounds budget jobs phase_deadline_s json
                                   J.field_string w "phase" phase;
                                   J.field_int w "round" round;
                                   J.field_float ~prec:2 w "wall_s" wall))
-                            cv.cv_phases));
+                            cv.Dist.Run.phases));
                   match t_merge with
                   | None -> J.field_null w "merge"
                   | Some t ->
@@ -1396,381 +1132,6 @@ let shard_run dir out workers ttl rounds budget jobs phase_deadline_s json
       | None -> ());
       exit code
 
-
-(* --------------------------------------------------------- shard soak *)
-
-(* End-to-end chaos soak: run an elastic fleet of real worker processes
-   against a hostile store (EFGAME_CHAOS in each child), SIGKILL them at
-   a seeded random cadence while respawning replacements, drain, merge —
-   and demand the merged table is verdict-identical (canonical dump
-   byte-equality) to an undisturbed single-process scan of the same
-   manifest on the local filesystem. Any lost or double-counted window
-   shows up as a dump difference, a missing completion record, or a
-   quarantined shard; all three fail the soak. *)
-
-let canonical_lines file =
-  let cache = Efgame.Cache.create () in
-  match Efgame.Persist.load cache file with
-  | Error e -> Error (Format.asprintf "%s: %a" file Efgame.Persist.pp_error e)
-  | Ok _ ->
-      Ok
-        (Efgame.Cache.fold cache ~init:[] ~f:(fun acc key ~win ~lose ->
-             Printf.sprintf "%s\twin<=%d\tlose>=%s" (String.escaped key) win
-               (if lose = max_int then "inf" else string_of_int lose)
-             :: acc)
-        |> List.sort String.compare)
-
-let shard_soak dir workers kill_rate chaos duration seed min_kills max_n
-    shards ttl stragglers poison cost_model json quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
-  let k = 3 in
-  let fail fmt = Format.kasprintf (fun msg ->
-      Obs.Log.err ~tag:"soak" "%s" msg; exit 2) fmt
-  in
-  (match Dist.Store.profile chaos with
-  | Ok _ -> ()
-  | Error msg -> fail "%s" msg);
-  if workers < 1 then fail "--workers must be at least 1";
-  if stragglers < 0 then fail "--stragglers must be nonnegative";
-  if poison < 0 then fail "--poison must be nonnegative";
-  if poison >= shards then fail "--poison must leave at least one shard";
-  let model =
-    resolve_cost_model ~fail:(fun msg -> fail "%s" msg) cost_model None
-  in
-  let mk d =
-    match (Dist.Store.active ()).Dist.Store.mkdir d with
-    | Ok () -> ()
-    | Error e -> fail "%s: %s" d (Dist.Store.error_message e)
-  in
-  let init d =
-    match Dist.Manifest.create ~model ~k ~max_n ~shards () with
-    | exception Invalid_argument msg -> fail "%s" msg
-    | m -> (
-        mk d;
-        match Dist.Manifest.save m ~dir:d with
-        | Ok () -> m
-        | Error msg -> fail "%s" msg)
-  in
-  let m = init dir in
-  (* injected poison: pre-quarantine the first shards with no table
-     and no record behind them — exactly what a healable quarantine
-     looks like, so the drain's heal phase must repair them before the
-     merge can go strictly clean *)
-  for id = 0 to poison - 1 do
-    match
-      Dist.Manifest.quarantine ~dir ~owner:"soak-poison" id
-        "injected: soak poison (healable)"
-    with
-    | Ok () -> ()
-    | Error msg -> fail "%s" msg
-  done;
-  let logs = Filename.concat dir "soak-logs" in
-  mk logs;
-  let exe = Sys.executable_name in
-  let spawned = ref 0 in
-  let spawn role =
-    let i = !spawned in
-    incr spawned;
-    let spec = Printf.sprintf "%s:%d" chaos (seed + i) in
-    let log = Filename.concat logs (Printf.sprintf "worker-%02d.log" i) in
-    let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    let env = Array.append (Unix.environment ()) [| "EFGAME_CHAOS=" ^ spec |] in
-    let argv =
-      Array.of_list
-        ([ exe; "shard"; "work"; dir; "--ttl"; Printf.sprintf "%g" ttl;
-           "--heartbeat-every"; "0.5"; "-q" ]
-        @
-        match role with
-        | `Straggler -> [ "--throttle"; "3" ]
-        | `Normal -> [ "--speculate" ])
-    in
-    let pid = Unix.create_process_env exe argv env Unix.stdin fd fd in
-    Unix.close fd;
-    pid
-  in
-  let fleet = ref [] in
-  let kills = ref 0 and respawns = ref 0 in
-  let reap () =
-    fleet :=
-      List.filter
-        (fun (pid, _) ->
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> true
-          | _ -> false
-          | exception Unix.Unix_error _ -> false)
-        !fleet
-  in
-  let work_remaining () =
-    let c = Dist.Manifest.counts ~dir ~ttl m in
-    c.Dist.Manifest.pending + c.Dist.Manifest.leased > 0
-  in
-  (* killed workers are replaced in kind: the contracted straggler
-     strength is maintained just like the normal strength, so the
-     storm cannot accidentally cure the fleet of its stragglers *)
-  let refill () =
-    let count role = List.length (List.filter (fun (_, r) -> r = role) !fleet) in
-    while count `Normal < workers do
-      fleet := (spawn `Normal, `Normal) :: !fleet;
-      incr respawns
-    done;
-    while count `Straggler < stragglers do
-      fleet := (spawn `Straggler, `Straggler) :: !fleet;
-      incr respawns
-    done
-  in
-  let kill_one pid =
-    try
-      Unix.kill pid Sys.sigkill;
-      incr kills
-    with Unix.Unix_error _ -> ()
-  in
-  (* stragglers launch first, with a head start: each must actually be
-     holding a shard (crawling through it) by the time the normal
-     workers arrive, or the run degenerates into an ordinary soak and
-     proves nothing about speculation *)
-  fleet := List.init stragglers (fun _ -> (spawn `Straggler, `Straggler));
-  if stragglers > 0 then Unix.sleepf 0.75;
-  fleet :=
-    List.init workers (fun _ -> (spawn `Normal, `Normal)) @ !fleet;
-  respawns := 0;
-  Obs.Log.info ~tag:"soak"
-    "%d worker(s) (+%d straggler(s)) under %s chaos on %s (%d shards, %d \
-     pairs, %d poisoned, %s windows); killing at %.2f/s for %.1fs" workers
-    stragglers chaos dir
-    (Array.length m.Dist.Manifest.shards)
-    m.Dist.Manifest.total poison (Dist.Cost.to_string model) kill_rate
-    duration;
-  let tick_s = 0.1 in
-  let kill_stream =
-    Rt.Fault.stream ~name:"soak.kill" ~seed
-      ~rate:(Float.min 1.0 (kill_rate *. tick_s))
-  in
-  let pick = Rt.Fault.stream ~name:"soak.pick" ~seed ~rate:1.0 in
-  let t0 = Unix.gettimeofday () in
-  let t_storm_end = t0 +. duration in
-  while Unix.gettimeofday () < t_storm_end && work_remaining () do
-    reap ();
-    refill ();
-    if Rt.Fault.trips kill_stream then begin
-      (* the storm targets only the normal workers: a straggler that
-         dies is just an ordinary stale-lease reclaim (the torture test
-         already proves those), while a straggler that survives forces
-         the fleet to rescue its held shard by speculation — which is
-         what --stragglers exists to prove *)
-      let victims = List.filter (fun (_, r) -> r = `Normal) !fleet in
-      let n = List.length victims in
-      if n > 0 then begin
-        let idx = min (n - 1) (int_of_float (Rt.Fault.uniform pick *. float_of_int n)) in
-        kill_one (fst (List.nth victims idx))
-      end
-    end;
-    Unix.sleepf tick_s
-  done;
-  (* guarantee the contracted kill count while work remains: a soak that
-     never actually lost a worker mid-claim proves nothing *)
-  while !kills < min_kills && work_remaining () do
-    reap ();
-    (match List.filter (fun (_, r) -> r = `Normal) !fleet with
-    | [] -> refill ()
-    | (pid, _) :: _ -> kill_one pid);
-    Unix.sleepf 0.2
-  done;
-  (* drain: hand the directory to the convergence controller. The
-     storm's normal workers are retired (the controller spawns its own
-     speculating replacements), but live stragglers are kept — and
-     topped back up — so the controller must actually rescue their
-     held shards through tail speculation, and its heal phase must
-     repair whatever the storm or --poison quarantined. Zero manual
-     steps from here to a terminal directory. *)
-  reap ();
-  let keep, retire =
-    List.partition (fun (_, role) -> role = `Straggler) !fleet
-  in
-  List.iter
-    (fun (pid, _) -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-    retire;
-  List.iter
-    (fun (pid, _) ->
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    retire;
-  let straggler_pids = ref (List.map fst keep) in
-  while List.length !straggler_pids < stragglers && work_remaining () do
-    straggler_pids := spawn `Straggler :: !straggler_pids;
-    incr respawns
-  done;
-  fleet := [];
-  let cv =
-    converge ~dir ~ttl ~workers ~rounds:3 ~heal_budget:None ~heal_jobs:1
-      ~phase_deadline_s:(Some (Float.max 120. (duration *. 10.)))
-      ~spawn:(fun () -> spawn `Normal)
-      m
-  in
-  List.iter
-    (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-    !straggler_pids;
-  List.iter
-    (fun pid ->
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    !straggler_pids;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  if not cv.cv_converged then begin
-    Obs.Log.err ~tag:"soak"
-      "fleet failed to converge: %d shard(s) still poisoned after %d \
-       round(s)"
-      cv.cv_poisoned cv.cv_rounds;
-    exit 1
-  end;
-  (* reference: the same manifest scanned undisturbed, one process, no
-     chaos (the driver's store is plain posix) *)
-  let ref_dir = dir ^ ".ref" in
-  ignore (init ref_dir);
-  let ref_cfg =
-    { (Dist.Worker.default_config ~dir:ref_dir) with
-      Dist.Worker.ttl = 3600.; heartbeat = 0. }
-  in
-  (match Dist.Worker.run ref_cfg with
-  | Ok _ -> ()
-  | Error msg -> fail "reference scan: %s" msg);
-  let out = Filename.concat dir "soak-merged.tbl" in
-  let ref_out = Filename.concat ref_dir "ref-merged.tbl" in
-  (* the chaos directory merges through the healing loop (merge-time
-     quarantines repaired unattended, like shard run); the reference
-     was never disturbed and merges plainly *)
-  let t_chaos, merge_healed =
-    match merge_until_clean ~dir ~out ~rounds:3 ~budget:None ~jobs:1 () with
-    | Ok t, healed -> (t, healed)
-    | Error msg, _ -> fail "merge %s: %s" dir msg
-  in
-  let cv = { cv with cv_healed = cv.cv_healed + merge_healed } in
-  let t_ref =
-    match Dist.Merge.merge ~dir:ref_dir ~out:ref_out () with
-    | Ok t -> t
-    | Error msg -> fail "merge %s: %s" ref_dir msg
-  in
-  let problems = ref [] in
-  let problem fmt =
-    Format.kasprintf (fun msg -> problems := msg :: !problems) fmt
-  in
-  if !kills < min_kills then
-    problem "only %d kill(s) landed (want >= %d); enlarge --max or --duration"
-      !kills min_kills;
-  if cv.cv_healed < poison then
-    problem "only %d of %d injected quarantine(s) healed" cv.cv_healed poison;
-  (* a speculative win leaves a record naming its .spec.tbl, and the
-     winning worker's heartbeat counts it; with stragglers in the
-     fleet, at least one rescue must show on one of the two. (The
-     record marker alone is not enough: a later heal legitimately
-     re-certifies under the plain path, and under heavy chaos a
-     stale-looking lease can be reclaimed before any speculator wins —
-     the heartbeats survive both.) *)
-  let spec_records =
-    Array.fold_left
-      (fun acc s ->
-        match Dist.Record.read ~dir s.Dist.Manifest.id with
-        | Ok { Dist.Record.table = Some _; _ } -> acc + 1
-        | _ -> acc)
-      0 m.Dist.Manifest.shards
-  in
-  let spec_wins, speculated =
-    let obs, _warnings = Dist.Heartbeat.list ~dir in
-    List.fold_left
-      (fun (w, s) (o : Dist.Heartbeat.observed) ->
-        ( w + o.Dist.Heartbeat.ob_view.Dist.Heartbeat.v_spec_wins,
-          s + o.Dist.Heartbeat.ob_view.Dist.Heartbeat.v_speculated ))
-      (0, 0) obs
-  in
-  if stragglers > 0 && spec_records = 0 && spec_wins = 0 then
-    problem
-      "no speculative rescue despite %d straggler(s) (%d speculation(s) \
-       started, 0 won)"
-      stragglers speculated;
-  (* window conservation: every shard merged, exactly once, strictly *)
-  let n_shards = Array.length m.Dist.Manifest.shards in
-  if t_chaos.Dist.Merge.merged <> n_shards then
-    problem "%d of %d windows merged strictly (%d salvaged, %d quarantined, \
-             %d missing)"
-      t_chaos.Dist.Merge.merged n_shards t_chaos.Dist.Merge.salvaged
-      t_chaos.Dist.Merge.quarantined t_chaos.Dist.Merge.missing;
-  Array.iter
-    (fun s ->
-      match Dist.Record.read ~dir s.Dist.Manifest.id with
-      | Ok _ -> ()
-      | Error msg ->
-          problem "window %d lost its completion record: %s"
-            s.Dist.Manifest.id msg)
-    m.Dist.Manifest.shards;
-  if t_chaos.Dist.Merge.bound <> t_ref.Dist.Merge.bound then
-    problem "proven bound differs: chaos %s, reference %s"
-      (match t_chaos.Dist.Merge.bound with
-      | Some (k, n) -> Printf.sprintf "(%d,%d)" k n
-      | None -> "none")
-      (match t_ref.Dist.Merge.bound with
-      | Some (k, n) -> Printf.sprintf "(%d,%d)" k n
-      | None -> "none");
-  let identical =
-    match (canonical_lines out, canonical_lines ref_out) with
-    | Error msg, _ | _, Error msg ->
-        problem "%s" msg;
-        false
-    | Ok a, Ok b ->
-        if a <> b then begin
-          let diff =
-            List.length (List.filter (fun l -> not (List.mem l b)) a)
-            + List.length (List.filter (fun l -> not (List.mem l a)) b)
-          in
-          problem "merged table differs from the undisturbed scan in %d \
-                   entr(ies)" diff
-        end;
-        a = b
-  in
-  respawns := !respawns + cv.cv_respawns;
-  Format.printf
-    "soak: %d spawn(s) (%d respawns), %d SIGKILL(s), %d shard(s) merged, \
-     %d entries, %.1fs@."
-    !spawned !respawns !kills t_chaos.Dist.Merge.merged
-    t_chaos.Dist.Merge.entries wall_s;
-  Format.printf
-    "soak: %d round(s) to converge, %d healed (of %d poisoned), %d \
-     speculative record(s), %d speculative win(s) of %d started@."
-    cv.cv_rounds cv.cv_healed poison spec_records spec_wins speculated;
-  Format.printf "merged table %s the undisturbed single-process scan@."
-    (if identical then "is verdict-identical to" else "DIFFERS from");
-  List.iter (fun msg -> Format.printf "FAIL: %s@." msg) (List.rev !problems);
-  (match json with
-  | Some path ->
-      let module J = Obs.Jsonw in
-      J.to_file path (fun w ->
-          J.obj w (fun w ->
-              J.field_string w "schema" "efgame-shard-soak/1";
-              J.field_string w "dir" dir;
-              J.field_string w "chaos" chaos;
-              J.field_int w "seed" seed;
-              J.field_int w "workers" workers;
-              J.field_int w "spawned" !spawned;
-              J.field_int w "respawns" !respawns;
-              J.field_int w "kills" !kills;
-              J.field_int w "shards" n_shards;
-              J.field_int w "merged" t_chaos.Dist.Merge.merged;
-              J.field_int w "entries" t_chaos.Dist.Merge.entries;
-              J.field_float ~prec:2 w "wall_s" wall_s;
-              J.field_bool w "identical" identical;
-              J.field_string w "model" (Dist.Cost.to_string model);
-              J.field_int w "stragglers" stragglers;
-              J.field_int w "poisoned" poison;
-              J.field_int w "healed" cv.cv_healed;
-              J.field_int w "rounds" cv.cv_rounds;
-              J.field_bool w "converged" cv.cv_converged;
-              J.field_int w "spec_records" spec_records;
-              J.field_int w "spec_wins" spec_wins;
-              J.field_int w "speculated" speculated;
-              (match drain_tail_s ~dir m with
-              | Some t -> J.field_float ~prec:2 w "drain_tail_s" t
-              | None -> J.field_null w "drain_tail_s");
-              J.field w "problems" (fun w ->
-                  J.arr w (fun w ->
-                      List.iter (J.string w) (List.rev !problems)))))
-  | None -> ());
-  exit (if !problems = [] then 0 else 1)
 
 (* ------------------------------------------------------------ cmdline *)
 
@@ -1905,13 +1266,19 @@ let verbose_arg =
   Arg.(value & flag_all & info [ "v"; "verbose" ]
        ~doc:"Show debug-level diagnostics on stderr.")
 
+(* -q/-v for every command: evaluating the term sets up the log *)
+let common =
+  let setup quiet verbose =
+    Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ()
+  in
+  Term.(const setup $ quiet_arg $ verbose_arg)
+
 let main_term =
-  Term.(const run $ words_arg $ rounds_arg $ explain_arg $ budget_arg $ scan_arg
+  Term.(const run $ common $ words_arg $ rounds_arg $ explain_arg $ budget_arg $ scan_arg
         $ classes_arg $ frontier_arg $ max_arg $ cache_arg $ jobs_arg $ stats_arg
         $ table_arg $ resume_arg $ salvage_arg $ checkpoint_arg $ deadline_arg
         $ faults_arg $ json_arg $ trace_arg $ metrics_arg $ telemetry_arg
-        $ telemetry_interval_arg $ flight_arg
-        $ quiet_arg $ verbose_arg)
+        $ telemetry_interval_arg $ flight_arg)
 
 let table_info_cmd =
   let file =
@@ -1940,13 +1307,12 @@ let table_merge_cmd =
              frontier merge — overlapping entries keep the strongest \
              verdicts) and write the union to OUT in the current format. \
              Also serves as a v1-to-v2 converter.")
-    Term.(const table_merge $ out $ ins $ salvage_arg $ quiet_arg $ verbose_arg)
+    Term.(const table_merge $ common $ out $ ins $ salvage_arg)
 
 (* A canonical text rendering of a table's exact-verdict frontiers:
    one line per entry, sorted, with the key escaped — two tables are
    semantically equal iff their dumps are byte-equal. *)
-let table_dump file salvage quiet verbose =
-  Obs.Log.setup ~quiet ~verbosity:(List.length verbose) ();
+let table_dump () file salvage =
   let cache = Efgame.Cache.create () in
   match Efgame.Persist.load ~salvage cache file with
   | Error e ->
@@ -1969,7 +1335,7 @@ let table_dump_cmd =
   Cmd.v
     (Cmd.info "dump"
        ~doc:"Print a table's entries as sorted, escaped text — one line per              position with its exact-verdict frontiers. Two snapshots hold              the same verdicts iff their dumps are byte-identical.")
-    Term.(const table_dump $ file $ salvage_arg $ quiet_arg $ verbose_arg)
+    Term.(const table_dump $ common $ file $ salvage_arg)
 
 let table_cmd =
   Cmd.group
@@ -1996,7 +1362,7 @@ let trace_merge_cmd =
              under it. A corrupt input is skipped, not fatal. Exits 0 when \
              every input merged, 1 when the output covers a strict subset, \
              2 when nothing merged.")
-    Term.(const trace_merge $ out $ ins $ quiet_arg $ verbose_arg)
+    Term.(const trace_merge $ common $ out $ ins)
 
 let trace_cmd =
   Cmd.group
@@ -2063,8 +1429,8 @@ let shard_init_cmd =
              shard windows — equal in pair count or in modeled cost (see \
              --cost-model) — and write the immutable, checksummed \
              manifest. Refuses to re-initialize an existing directory.")
-    Term.(const shard_init $ shard_dir_arg $ k $ max_n $ shards
-          $ cost_model_arg $ calibrate $ quiet_arg $ verbose_arg)
+    Term.(const shard_init $ common $ shard_dir_arg $ k $ max_n $ shards
+          $ cost_model_arg $ calibrate)
 
 let shard_work_cmd =
   let budget =
@@ -2103,7 +1469,7 @@ let shard_work_cmd =
     Arg.(value & opt (some float) None & info [ "throttle" ] ~docv:"R"
          ~doc:"Cap this worker's scan rate at $(docv) pairs/s — a chaos \
                hook for manufacturing stragglers deterministically in \
-               soaks. Never set this in a real deployment.")
+               the torture test. Never set this in a real deployment.")
   in
   Cmd.v
     (Cmd.info "work"
@@ -2115,10 +1481,10 @@ let shard_work_cmd =
              each worker advertises itself live via a heartbeat snapshot \
              in DIR (see $(b,shard top)). Exits 0, or 1 if this worker \
              quarantined a shard.")
-    Term.(const shard_work $ shard_dir_arg $ ttl_arg $ jobs_arg $ budget
+    Term.(const shard_work $ common $ shard_dir_arg $ ttl_arg $ jobs_arg $ budget
           $ attempts $ max_requeues $ deadline_arg $ faults_arg $ chaos_arg
           $ speculate $ throttle $ json_arg $ metrics_arg $ heartbeat
-          $ flight_arg $ quiet_arg $ verbose_arg)
+          $ flight_arg)
 
 let shard_status_cmd =
   Cmd.v
@@ -2127,8 +1493,7 @@ let shard_status_cmd =
              with lease holders and quarantine reasons) derived from the \
              directory. Exits 0 when every shard is done, 3 while work \
              remains, 1 when quarantined shards block completion.")
-    Term.(const shard_status $ shard_dir_arg $ ttl_arg $ json_arg $ quiet_arg
-          $ verbose_arg)
+    Term.(const shard_status $ common $ shard_dir_arg $ ttl_arg $ json_arg)
 
 let shard_top_cmd =
   let stale =
@@ -2152,8 +1517,8 @@ let shard_top_cmd =
              truncated heartbeats are skipped with a warning; stale ones \
              are flagged. Exit codes mirror $(b,shard status): 0 all done, \
              3 work remaining, 1 quarantine-blocked.")
-    Term.(const shard_top $ shard_dir_arg $ ttl_arg $ stale $ watch
-          $ json_arg $ quiet_arg $ verbose_arg)
+    Term.(const shard_top $ common $ shard_dir_arg $ ttl_arg $ stale $ watch
+          $ json_arg)
 
 let shard_merge_cmd =
   let out =
@@ -2175,8 +1540,7 @@ let shard_merge_cmd =
              strictly clean and exhausted its window. Exits 0 when \
              complete, 1 when the output is partial, 2 when nothing could \
              be written.")
-    Term.(const shard_merge $ shard_dir_arg $ out $ threshold $ quiet_arg
-          $ verbose_arg)
+    Term.(const shard_merge $ common $ shard_dir_arg $ out $ threshold)
 
 let shard_audit_cmd =
   let table =
@@ -2203,8 +1567,8 @@ let shard_audit_cmd =
              verdicts. Catches bad computation that checksums cannot — a \
              wrong entry was wrong at birth. Exits 0 on a clean audit, 5 \
              on any mismatch.")
-    Term.(const shard_audit $ shard_dir_arg $ table $ sample $ seed $ budget
-          $ salvage_arg $ quiet_arg $ verbose_arg)
+    Term.(const shard_audit $ common $ shard_dir_arg $ table $ sample $ seed
+          $ budget $ salvage_arg)
 
 let shard_heal_cmd =
   let budget =
@@ -2224,8 +1588,8 @@ let shard_heal_cmd =
              lifted only after the fresh record lands. Exits 0 when every \
              quarantine cleared, 1 when irreducible windows remain, 2 on \
              heal-infrastructure failure.")
-    Term.(const shard_heal $ shard_dir_arg $ budget $ jobs_arg
-          $ deadline_arg $ json_arg $ quiet_arg $ verbose_arg)
+    Term.(const shard_heal $ common $ shard_dir_arg $ budget $ jobs_arg
+          $ deadline_arg $ json_arg)
 
 let shard_run_cmd =
   let out =
@@ -2239,7 +1603,7 @@ let shard_run_cmd =
   in
   let rounds =
     Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"N"
-         ~doc:"Maximum work-then-heal rounds before giving up; the \
+         ~doc:"Maximum work, heal, merge rounds before giving up; the \
                controller also stops early after a round that makes no \
                progress.")
   in
@@ -2258,103 +1622,27 @@ let shard_run_cmd =
     (Cmd.info "run"
        ~doc:"The one-command convergence controller: drive an initialized \
              DIR from claim to stamped proven bound with zero manual \
-             steps. Alternates a work phase — an elastic fleet of \
+             steps. Each round is a work phase — an elastic fleet of \
              speculating workers, respawned on death, until nothing is \
-             pending or leased — with a heal phase over whatever got \
-             quarantined, then merges every certified shard into OUT. \
+             pending or leased — then a heal phase over whatever got \
+             quarantined, then a merge of every certified shard into \
+             OUT; a shard the merge quarantines is healed next round. \
              Exits 0 when the fleet converged and the proven bound was \
              stamped, 1 on partial convergence (irreducible poison or an \
              incomplete merge), 2 on usage or infrastructure failure.")
-    Term.(const shard_run $ shard_dir_arg $ out $ workers $ ttl_arg $ rounds
-          $ budget $ jobs_arg $ phase_deadline $ json_arg $ quiet_arg
-          $ verbose_arg)
-
-let shard_soak_cmd =
-  let workers =
-    Arg.(value & opt int 3 & info [ "workers" ] ~docv:"N"
-         ~doc:"Fleet strength: killed workers are replaced to keep $(docv) \
-               running until the scan drains.")
-  in
-  let kill_rate =
-    Arg.(value & opt float 1.0 & info [ "kill-rate" ] ~docv:"R"
-         ~doc:"Expected SIGKILLs per second during the storm window \
-               (seeded random schedule).")
-  in
-  let chaos =
-    Arg.(value & opt string "nfs-coarse" & info [ "chaos" ] ~docv:"PROFILE"
-         ~doc:"Chaos profile each worker runs under (see $(b,shard work \
-               --chaos)); the driver's own merge and the reference scan \
-               stay on the plain local filesystem.")
-  in
-  let duration =
-    Arg.(value & opt float 8. & info [ "duration" ] ~docv:"S"
-         ~doc:"Length of the kill storm; the drain afterwards runs until \
-               every shard is terminal.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
-         ~doc:"Seeds the kill schedule and each worker's chaos stream \
-               (worker i gets chaos seed SEED+i).")
-  in
-  let min_kills =
-    Arg.(value & opt int 5 & info [ "min-kills" ] ~docv:"N"
-         ~doc:"Fail the soak unless at least $(docv) SIGKILLs landed while \
-               work remained — a storm that never hit anything proves \
-               nothing.")
-  in
-  let max_n =
-    Arg.(value & opt int 96 & info [ "max" ] ~docv:"N"
-         ~doc:"Scan all pairs (p, q) with q <= $(docv).")
-  in
-  let shards =
-    Arg.(value & opt int 12 & info [ "shards" ] ~docv:"S"
-         ~doc:"Shard windows to cut.")
-  in
-  let ttl =
-    Arg.(value & opt float 5. & info [ "ttl" ] ~docv:"S"
-         ~doc:"Lease TTL for the soak fleet (short, so killed workers' \
-               shards reclaim quickly).")
-  in
-  let stragglers =
-    Arg.(value & opt int 0 & info [ "stragglers" ] ~docv:"N"
-         ~doc:"Keep $(docv) additional throttled workers (a few pairs/s) \
-               in the fleet, maintained by role through the storm and the \
-               drain — the converging fleet must rescue their held shards \
-               by speculative re-execution, and the soak fails unless at \
-               least one speculative record landed.")
-  in
-  let poison =
-    Arg.(value & opt int 0 & info [ "poison" ] ~docv:"P"
-         ~doc:"Pre-quarantine the first $(docv) shards (no table, no \
-               record — healable damage); the drain's heal phase must \
-               repair every one before the merge can go strictly clean.")
-  in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:"Chaos soak for the whole shard protocol: spawn an elastic \
-             fleet of real worker processes under a hostile store profile \
-             (optionally with throttled stragglers and pre-poisoned \
-             shards), SIGKILL them on a seeded schedule while respawning \
-             replacements, then converge unattended — speculation, heal, \
-             merge — and demand the merged table is verdict-identical to \
-             an undisturbed single-process scan of the same manifest, \
-             every window exactly once. Exits 0 on a clean soak, 1 on any \
-             lost/duplicated window, table difference, unhealed \
-             quarantine, or an underpowered storm, 2 on usage errors.")
-    Term.(const shard_soak $ shard_dir_arg $ workers $ kill_rate $ chaos
-          $ duration $ seed $ min_kills $ max_n $ shards $ ttl $ stragglers
-          $ poison $ cost_model_arg $ json_arg $ quiet_arg $ verbose_arg)
+    Term.(const shard_run $ common $ shard_dir_arg $ out $ workers $ ttl_arg
+          $ rounds $ budget $ jobs_arg $ phase_deadline $ json_arg)
 
 let shard_cmd =
   Cmd.group
     (Cmd.info "shard"
        ~doc:"Coordinator-free distributed frontier scans over a shared \
              directory: lease-based shard claims, crash-tolerant \
-             completion records, quarantine, merge, audit, and chaos \
-             soak.")
+             completion records, quarantine, heal, merge, audit, and the \
+             self-healing run controller (exercised under chaos by the \
+             shard torture test).")
     [ shard_init_cmd; shard_work_cmd; shard_status_cmd; shard_top_cmd;
-      shard_merge_cmd; shard_audit_cmd; shard_heal_cmd; shard_run_cmd;
-      shard_soak_cmd ]
+      shard_merge_cmd; shard_audit_cmd; shard_heal_cmd; shard_run_cmd ]
 
 let info =
   Cmd.info "efgame_cli"

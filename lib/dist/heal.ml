@@ -15,12 +15,13 @@
    Soundness is the usual argument: sub-window scans are deterministic
    and the blend is the monotone entry-by-entry merge, so a healed
    table contains exactly the verdicts a healthy worker would have
-   certified. Re-certification uses the one sanctioned record overwrite
-   ([Record.write ~replace:true]): the shard is Quarantined, nobody
-   else is racing for it, and the stale record (if the quarantine came
-   from a corrupt-table merge) must not survive. The quarantine file is
-   deleted only after the new record is in place, so a crash mid-heal
-   leaves the shard Quarantined and the heal idempotently re-runnable. *)
+   certified. Re-certification is the worker's own {!Worker.certify}
+   with the one sanctioned record overwrite ([~replace:true]): the
+   shard is Quarantined, nobody else is racing for it, and the stale
+   record (if the quarantine came from a corrupt-table merge) must not
+   survive. The quarantine file is deleted only after the new record is
+   in place, so a crash mid-heal leaves the shard Quarantined and the
+   heal idempotently re-runnable. *)
 
 let m_healed = Obs.Metrics.counter "dist.shards_healed"
 let m_still_poisoned = Obs.Metrics.counter "dist.shards_still_poisoned"
@@ -169,7 +170,7 @@ let heal ~cfg m (s : Manifest.shard) =
             Ok (`Poisoned poisoned)
         | [] -> (
             (* every sub-window solved: blend the fresh caches and
-               re-certify, exactly the worker's certification discipline *)
+               re-certify through the worker's own certify *)
             let into = Efgame.Cache.create () in
             List.iter
               (fun l ->
@@ -190,51 +191,19 @@ let heal ~cfg m (s : Manifest.shard) =
               | Some (p, q) -> Record.Found (p, q)
               | None -> Record.Exhausted
             in
-            let table = Manifest.table_path cfg.dir id in
-            let certify () =
-              match Efgame.Persist.save ~fsync:cfg.fsync into table with
-              | Error e ->
-                  Error (Format.asprintf "save: %a" Efgame.Persist.pp_error e)
-              | Ok written -> (
-                  let check = Efgame.Cache.create () in
-                  match Efgame.Persist.load check table with
-                  | Error e ->
-                      Error
-                        (Format.asprintf "validation: %a"
-                           Efgame.Persist.pp_error e)
-                  | Ok r when r.Efgame.Persist.entries <> written ->
-                      Error
-                        (Printf.sprintf
-                           "validation: %d entries on disk, %d written"
-                           r.Efgame.Persist.entries written)
-                  | Ok _ -> (
-                      match Record.file_fnv table with
-                      | Error msg -> Error ("checksum: " ^ msg)
-                      | Ok fnv -> (
-                          let wall_ns =
-                            Int64.of_float
-                              (Float.max 0. (st.Store.now () -. started)
-                              *. 1e9)
-                          in
-                          let record =
-                            {
-                              Record.shard = id;
-                              owner = Lease.default_owner ();
-                              outcome;
-                              entries = written;
-                              table_fnv = fnv;
-                              table = None;
-                              wall_ns = Some wall_ns;
-                            }
-                          in
-                          match Record.write ~replace:true ~dir:cfg.dir record with
-                          | `Written -> Ok written
-                          | `Lost _ -> Error "record: replace reported a race"
-                          | `Error msg -> Error ("record: " ^ msg))))
+            let wall_ns =
+              Int64.of_float (Float.max 0. (st.Store.now () -. started) *. 1e9)
+            in
+            let certify =
+              Worker.certify ~replace:true ~dir:cfg.dir ~fsync:cfg.fsync
+                ~owner:(Lease.default_owner ()) ~id ~cache:into ~outcome
+                ~table:(Manifest.table_path cfg.dir id) ~table_name:None
+                ~wall_ns
             in
             match Rt.Backoff.retry certify with
             | Error msg -> Error msg
-            | Ok written ->
+            | Ok (`Superseded _) -> Error "record: replace reported a race"
+            | Ok (`Certified written) ->
                 (* only now is the quarantine lifted: record first, so
                    a crash in between re-runs the heal instead of
                    resurrecting a shard with a stale record *)

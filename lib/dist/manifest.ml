@@ -137,6 +137,11 @@ let load ~dir =
             let ver = ref (-1) in
             let model = ref Cost.Uniform in
             let bad = ref None in
+            let set_int r v =
+              match int_of_string_opt v with
+              | Some n -> r := n
+              | None -> bad := Some (Printf.sprintf "not an integer: %S" v)
+            in
             List.iteri
               (fun i line ->
                 match (i, String.split_on_char ' ' line) with
@@ -149,9 +154,9 @@ let load ~dir =
                         bad :=
                           Some
                             (Printf.sprintf "unsupported manifest version %s" v))
-                | _, [ "k"; v ] -> k := int_of_string v
-                | _, [ "max_n"; v ] -> max_n := int_of_string v
-                | _, [ "total"; v ] -> total := int_of_string v
+                | _, [ "k"; v ] -> set_int k v
+                | _, [ "max_n"; v ] -> set_int max_n v
+                | _, [ "total"; v ] -> set_int total v
                 | _, [ "model"; v ] -> (
                     if !ver < 2 then
                       bad := Some "model line in a version 1 manifest"
@@ -159,12 +164,14 @@ let load ~dir =
                       match Cost.of_string v with
                       | Ok m -> model := m
                       | Error msg -> bad := Some msg)
-                | _, [ "shard"; id; lo; hi ] ->
-                    shards :=
-                      { id = int_of_string id;
-                        lo = int_of_string lo;
-                        hi = int_of_string hi }
-                      :: !shards
+                | _, [ "shard"; id; lo; hi ] -> (
+                    match
+                      (int_of_string_opt id, int_of_string_opt lo,
+                       int_of_string_opt hi)
+                    with
+                    | Some id, Some lo, Some hi ->
+                        shards := { id; lo; hi } :: !shards
+                    | _ -> bad := Some (Printf.sprintf "bad shard line %S" line))
                 | _ -> bad := Some (Printf.sprintf "unrecognized line %S" line))
               lines;
             match !bad with

@@ -1,6 +1,6 @@
 (** The fleet's storage interface: exactly the primitives the shard
     protocol needs from its shared directory, behind a first-class
-    value, with a hostile deterministic implementation for soak tests.
+    value, with a hostile deterministic implementation for chaos tests.
 
     Everything in [lib/dist] goes through the {e active} store — there
     are no direct [Unix]/[Sys] filesystem calls outside this module
@@ -105,8 +105,8 @@ type profile = {
 
 val profiles : (string * profile) list
 (** Named profiles: ["nfs-coarse"] (1 s mtimes, ±1.5 s skew, delayed
-    visibility, 2% transient faults, 2% torn creates — the CI soak
-    profile), ["flaky-io"] (aggressive transient faults and torn
+    visibility, 2% transient faults, 2% torn creates — the shard torture
+    test's profile), ["flaky-io"] (aggressive transient faults and torn
     creates on sharp local semantics), ["skewed-clock"] (coarse mtimes
     and large skew, no faults), ["none"] (identity wrapper). *)
 

@@ -57,7 +57,7 @@ type config = {
   flight : string option;  (** dump the flight ring here on every tick *)
   speculate : bool;  (** re-execute straggler-held shards when idle *)
   throttle : float option;
-      (** cap the scan rate at this many pairs/s — a chaos/soak hook
+      (** cap the scan rate at this many pairs/s — a chaos-test hook
           for manufacturing stragglers, never set in production *)
 }
 
@@ -107,20 +107,23 @@ let zero_summary =
 
 let remove_quiet path = ignore ((Store.active ()).Store.delete path)
 
-(* One certification attempt: snapshot the shard cache to [table],
-   re-read it strictly (exactly what the merge will do), and race the
-   completion record into place. Any retryable failure is an [Error]
-   for {!Rt.Backoff.retry}; losing the record race is a *success* of
-   kind [`Superseded] — someone certified the shard first, and
-   retrying could never turn that into a win. *)
-let certify ~cfg ~owner ~hb ~shard ~cache ~outcome ~table ~table_name
-    ~wall_ns () =
+(* One certification attempt — the single certify discipline of the
+   library, shared by the worker and {!Heal}: snapshot the cache to
+   [table], re-read it strictly (exactly what the merge will do), check
+   the entry count, hash the file, and write the completion record
+   naming that hash. Any retryable failure is an [Error] for
+   {!Rt.Backoff.retry}; losing the record race is a *success* of kind
+   [`Superseded] — someone certified the shard first, and retrying
+   could never turn that into a win. [replace] is the heal's sanctioned
+   record overwrite (see {!Record.write}). *)
+let certify ?(replace = false) ?(on_fault = ignore) ~dir ~fsync ~owner ~id
+    ~cache ~outcome ~table ~table_name ~wall_ns () =
   match
     Rt.Fault.fire fp_certify;
-    Efgame.Persist.save ~fsync:cfg.fsync cache table
+    Efgame.Persist.save ~fsync cache table
   with
   | exception Rt.Fault.Injected site ->
-      Atomic.incr hb.Heartbeat.faults;
+      on_fault ();
       Error (Printf.sprintf "injected fault at %s" site)
   | Error e -> Error (Format.asprintf "save: %a" Efgame.Persist.pp_error e)
   | Ok written -> (
@@ -138,7 +141,7 @@ let certify ~cfg ~owner ~hb ~shard ~cache ~outcome ~table ~table_name
           | Ok fnv -> (
               let record =
                 {
-                  Record.shard = shard.Manifest.id;
+                  Record.shard = id;
                   owner;
                   outcome;
                   entries = written;
@@ -147,7 +150,7 @@ let certify ~cfg ~owner ~hb ~shard ~cache ~outcome ~table ~table_name
                   wall_ns = Some wall_ns;
                 }
               in
-              match Record.write ~dir:cfg.dir record with
+              match Record.write ~replace ~dir record with
               | `Written -> Ok (`Certified written)
               | `Lost (Some w)
                 when w.Record.owner = owner && w.Record.table_fnv = fnv ->
@@ -172,7 +175,9 @@ let certify_with_retries ~cfg ~owner ~hb ~shard ~lease ~cache ~table
                attempt)
           "retry";
       ignore (Lease.renew lease))
-    (certify ~cfg ~owner ~hb ~shard ~cache ~outcome ~table ~table_name
+    (certify ~dir:cfg.dir ~fsync:cfg.fsync
+       ~on_fault:(fun () -> Atomic.incr hb.Heartbeat.faults)
+       ~owner ~id:shard.Manifest.id ~cache ~outcome ~table ~table_name
        ~wall_ns)
 
 (* A racer that lost the completion record discards its own table:
@@ -261,10 +266,10 @@ let execute ~cfg ~stop ?(abort = fun () -> false) ~hb (lease : Lease.t)
   in
   let on_tick ~completed =
     set_progress ~completed;
-    (* soak-only rate cap: sleep off the whole surplus, in small slices
-       so the lease stays renewed and a landing record (a speculator
-       rescued this shard under us) aborts the crawl within a renewal
-       interval instead of at the end of the nap *)
+    (* chaos-test-only rate cap: sleep off the whole surplus, in small
+       slices so the lease stays renewed and a landing record (a
+       speculator rescued this shard under us) aborts the crawl within a
+       renewal interval instead of at the end of the nap *)
     (match cfg.throttle with
     | Some rate when rate > 0. ->
         let ideal = started +. (float_of_int completed /. rate) in
@@ -533,7 +538,7 @@ let run_speculation ~cfg ~stop ~owner ~hb lease (s : Manifest.shard) m summary
   finish
   @@
   match
-    (* the speculator must not inherit the soak throttle: it exists to
+    (* the speculator must not inherit the throttle: it exists to
        outrun the straggler *)
     execute ~cfg:{ cfg with throttle = None } ~stop ~abort ~hb lease s m
   with

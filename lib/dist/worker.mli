@@ -45,7 +45,7 @@ type config = {
       (** when idle, re-execute straggler-held shards under their
           secondary lease and race the holder to the record *)
   throttle : float option;
-      (** cap the scan rate at this many pairs/s — a chaos/soak hook
+      (** cap the scan rate at this many pairs/s — a chaos-test hook
           for manufacturing stragglers deterministically; [None] (the
           default) in any real deployment *)
 }
@@ -73,6 +73,28 @@ type summary = {
 }
 
 val zero_summary : summary
+
+val certify :
+  ?replace:bool ->
+  ?on_fault:(unit -> unit) ->
+  dir:string ->
+  fsync:bool ->
+  owner:string ->
+  id:int ->
+  cache:Efgame.Cache.t ->
+  outcome:Record.outcome ->
+  table:string ->
+  table_name:string option ->
+  wall_ns:int64 ->
+  unit ->
+  ([ `Certified of int | `Superseded of Record.t option * int64 ], string)
+  result
+(** One certification attempt, shared by the worker and {!Heal}: save
+    [cache] to [table], reload it strictly, check the entry count, and
+    write shard [id]'s record with the file's hash. [`Superseded]:
+    another record landed first (the winner if readable, our hash).
+    [Error] is retryable; an injected [dist.certify] fault also calls
+    [on_fault]. [replace] (default false) is {!Heal}'s overwrite. *)
 
 val run : ?stop:(unit -> bool) -> config -> (summary, string) result
 (** Work the directory until every shard is Done or Quarantined, the

@@ -153,6 +153,28 @@ let test_manifest_model_round_trip () =
           check_bool "windows survive" true
             (m.Dist.Manifest.shards = m'.Dist.Manifest.shards))
 
+let test_manifest_bad_int_rejected () =
+  (* a correct checksum over a non-integer field: an [Error], never an
+     int_of_string exception *)
+  with_dir (fun dir ->
+      List.iter
+        (fun body ->
+          let data =
+            Printf.sprintf "%schecksum %Lx\n" body (Dist.Manifest.fnv1a64 body)
+          in
+          write_file (Dist.Manifest.path dir) data;
+          match Dist.Manifest.load ~dir with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "loaded a malformed manifest: %S" body
+          | exception e ->
+              Alcotest.failf "load raised %s on %S" (Printexc.to_string e) body)
+        [
+          "efgame-shard-manifest 2\nk three\nmax_n 4\ntotal 10\nshard 0 0 10\n";
+          "efgame-shard-manifest 2\nk 2\nmax_n 4x\ntotal 10\nshard 0 0 10\n";
+          "efgame-shard-manifest 2\nk 2\nmax_n 4\ntotal ten\nshard 0 0 10\n";
+          "efgame-shard-manifest 2\nk 2\nmax_n 4\ntotal 10\nshard 0 0 1e1\n";
+        ])
+
 let test_manifest_v1_loads_uniform () =
   (* a version 1 manifest (no model line), hand-written byte for byte:
      still loads, as a Uniform cut *)
@@ -325,6 +347,40 @@ let test_heal_end_to_end () =
       | Error msg -> Alcotest.failf "second heal: %s" msg);
       let out = Filename.concat dir "merged.tbl" in
       match Dist.Merge.merge ~fsync:false ~dir ~out () with
+      | Error msg -> Alcotest.failf "merge: %s" msg
+      | Ok t ->
+          check_bool "complete" true (Dist.Merge.complete t);
+          Alcotest.(check (option (pair int int)))
+            "bound stamped" (Some (2, 10)) t.Dist.Merge.bound)
+
+let test_run_heals_merge_quarantine () =
+  (* a table damaged after certification is caught only by the merge;
+     the controller's next round must heal it and merge clean — all in
+     process, with no worker ever spawned *)
+  with_dir (fun dir ->
+      let m = setup_scan ~k:2 ~max_n:10 ~shards:3 dir in
+      (match
+         Dist.Worker.run
+           { (Dist.Worker.default_config ~dir) with Dist.Worker.fsync = false }
+       with
+      | Ok s -> check_int "drained" 3 s.Dist.Worker.completed
+      | Error msg -> Alcotest.failf "worker: %s" msg);
+      let table = Dist.Manifest.table_path dir 1 in
+      write_file table (In_channel.with_open_bin table In_channel.input_all ^ "x");
+      let out = Filename.concat dir "merged.tbl" in
+      let r =
+        Dist.Run.converge ~dir ~ttl:30. ~workers:2 ~rounds:3 ~out
+          ~spawn:(fun () -> Alcotest.fail "spawned a worker with no work left")
+          m
+      in
+      check_int "merge quarantine healed next round" 2 r.Dist.Run.rounds;
+      check_int "healed" 1 r.Dist.Run.healed;
+      check_int "spawned" 0 r.Dist.Run.spawned;
+      check_bool "converged" true r.Dist.Run.converged;
+      check_bool "one heal phase" true
+        (List.map (fun (p, round, _) -> (p, round)) r.Dist.Run.phases
+        = [ ("heal", 2) ]);
+      match r.Dist.Run.merge with
       | Error msg -> Alcotest.failf "merge: %s" msg
       | Ok t ->
           check_bool "complete" true (Dist.Merge.complete t);
@@ -556,12 +612,16 @@ let tests =
         test_manifest_model_round_trip;
       Alcotest.test_case "manifest v1 still loads (Uniform)" `Quick
         test_manifest_v1_loads_uniform;
+      Alcotest.test_case "manifest with a non-integer field rejected" `Quick
+        test_manifest_bad_int_rejected;
       Alcotest.test_case "record speculation fields; replace discipline"
         `Quick test_record_speculation_fields;
       QCheck_alcotest.to_alcotest prop_first_record_wins;
       QCheck_alcotest.to_alcotest prop_heal_retiling;
       Alcotest.test_case "heal: quarantine -> re-certified bound" `Quick
         test_heal_end_to_end;
+      Alcotest.test_case "run: merge quarantine healed by the next round"
+        `Quick test_run_heals_merge_quarantine;
       Alcotest.test_case "heal: irreducible windows narrow the quarantine"
         `Quick test_heal_irreducible_narrows;
       Alcotest.test_case "speculation rescues a straggler-held shard"
