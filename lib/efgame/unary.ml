@@ -205,119 +205,140 @@ let w1 (s : Packed.scratch) ar ~p ~q =
   side ~swap:false ~mine_max:p ~other_max:q
   && side ~swap:true ~mine_max:q ~other_max:p
 
+(* The root is settled before any search state exists. An ε side (the
+   letter constant is then defined on one side only, so the root is no
+   partial isomorphism), an invalid [init], the 1-round closed form and a
+   root table hit all answer without the memo, the candidate tables or
+   the move orders; only a root none of them answers allocates those. *)
 let solve ?cache ?(store_depth = max_int) ?(limit = max_int)
     ?(budget = 50_000_000) ~p ~q ~init k0 =
-  if p < 1 || q < 1 then invalid_arg "Unary.solve: need p >= 1 and q >= 1";
-  let s = Packed.scratch () in
-  let ar = s.ar in
-  Arena.reset ar;
-  Arena.push ar 0 0;
-  Arena.push ar 1 1;
-  let nconsts = 2 in
-  let full = limit = max_int in
-  let nodes = ref 0 in
-  let rbits = Packed.bits_for (max p q) in
-  let npairs0 = List.length init in
-  let memo =
-    Packed.Pmemo.create ~k0
-      ~npairs_at:(fun k -> npairs0 + (k0 - k))
-      ~pairbits:(2 * rbits)
-  in
-  let candidates_l = candidate_table ~mine_max:p ~other_max:q in
-  let candidates_r = candidate_table ~mine_max:q ~other_max:p in
-  let order_l = move_order p and order_r = move_order q in
-  let rec wins k =
-    incr nodes;
-    Obs.Metrics.vec_incr m_nodes k;
-    if !nodes > budget then raise Packed.Budget_exceeded;
-    if k = 0 then true
-    else
-      let n = Packed.fill_sorted_pairs s ar ~nconsts ~rbits in
-      Packed.Pmemo.cached memo k s.keybuf n (fun () -> compute k n)
-  and compute k n =
-    if k = 1 then
-      (* closed form: never touches the shared table (the computation is
-         cheaper than building its key) *)
-      w1 s ar ~p ~q
-    else
-      let gkey =
-        (* deep positions skip the shared table entirely: during a cold
-           scan they are never re-reachable from another instance (keys
-           embed (p, q)), so building and hashing their keys is pure
-           overhead — the local memo already dedups within this solve *)
-        match cache with
-        | Some _ when n <= store_depth ->
-            Some (Position.unary_key ~p ~q (Arena.to_list ~from:nconsts ar))
-        | _ -> None
-      in
-      let cached_r =
-        match (cache, gkey) with
-        | Some c, Some key -> Cache.lookup c key ~k
-        | _ -> None
-      in
-      match cached_r with
-      | Some r -> r
-      | None ->
-          let r = spoiler false k && spoiler true k in
-          (match (cache, gkey) with
-          | Some c, Some key ->
-              (* limited-mode failures are not genuine Spoiler wins *)
-              if r || full then Cache.store c key ~k r
-          | _ -> ());
-          r
-  and spoiler swap k =
-    let rec moves = function
-      | [] -> true
-      | a :: rest -> (dominated a || survives a) && moves rest
-    and dominated a =
-      let len = Arena.len ar in
-      let l = Arena.col_a ar and r = Arena.col_b ar in
-      let xs = if swap then r else l in
-      let rec go i = i < len && (Array.unsafe_get xs i = a || go (i + 1)) in
-      let d = go nconsts in
-      if d then Obs.Metrics.incr m_prune_dominated;
-      d
-    and survives a =
-      let other_max = if swap then p else q in
-      match forced_reply ar ~swap ~other_max a with
-      | exception Unsat ->
-          Obs.Metrics.incr m_prune_unsat;
-          false
-      | -1 ->
-          let cands = if swap then candidates_r a else candidates_l a in
-          if full then List.exists (fun b -> try_reply a b) cands
-          else
-            let rec go i = function
-              | [] -> false
-              | b :: rest -> i < limit && (try_reply a b || go (i + 1) rest)
-            in
-            go 0 cands
-      | b ->
-          Obs.Metrics.incr m_prune_forced;
-          try_reply a b
-    and try_reply a b =
-      let na, nb = if swap then (b, a) else (a, b) in
-      ext_ok ar na nb
-      && begin
-           Arena.push ar na nb;
-           let r = wins (k - 1) in
-           Arena.pop ar;
-           r
-         end
+  if p < 0 || q < 0 || p + q = 0 then
+    invalid_arg "Unary.solve: need p, q >= 0 and p + q >= 1";
+  if p = 0 || q = 0 then (Some false, 0, 0)
+  else
+    let s = Packed.scratch () in
+    let ar = s.ar in
+    Arena.reset ar;
+    Arena.push ar 0 0;
+    Arena.push ar 1 1;
+    let nconsts = 2 in
+    (* validate the initial position entry by entry (once an entry fails,
+       later ones are not added) *)
+    let valid =
+      List.for_all
+        (fun (l, r) ->
+          l >= 0 && l <= p && r >= 0 && r <= q && ext_ok ar l r
+          && (Arena.push ar l r; true))
+        init
     in
-    moves (if swap then order_r else order_l)
-  in
-  (* validate the initial position entry by entry (once an entry fails,
-     later ones are not added) *)
-  let valid = ref true in
-  List.iter
-    (fun (l, r) ->
-      if !valid && l >= 0 && l <= p && r >= 0 && r <= q && ext_ok ar l r
-      then Arena.push ar l r
-      else valid := false)
-    init;
-  let result =
-    if not !valid then Some false
-    else try Some (wins k0) with Packed.Budget_exceeded -> None
-  in
-  (result, !nodes, Packed.Pmemo.size memo)
+    let full = limit = max_int in
+    let nodes = ref 0 in
+    let visit k =
+      incr nodes;
+      Obs.Metrics.vec_incr m_nodes k;
+      if !nodes > budget then raise Packed.Budget_exceeded
+    in
+    (* The shared-table slot of the current position. Deep positions skip
+       the table entirely: during a cold scan they are never re-reachable
+       from another instance (keys embed (p, q)), so building and hashing
+       their keys is pure overhead — the local memo already dedups within
+       this solve. *)
+    let slot () =
+      match cache with
+      | Some c when Arena.len ar - nconsts <= store_depth ->
+          Some (c, Position.unary_key ~p ~q (Arena.to_list ~from:nconsts ar))
+      | _ -> None
+    in
+    let lookup k = function
+      | Some (c, key) -> Cache.lookup c key ~k
+      | None -> None
+    in
+    let search root =
+      let rbits = Packed.bits_for (max p q) in
+      let npairs0 = Arena.len ar - nconsts in
+      let memo =
+        Packed.Pmemo.create ~k0
+          ~npairs_at:(fun k -> npairs0 + (k0 - k))
+          ~pairbits:(2 * rbits)
+      in
+      let candidates_l = candidate_table ~mine_max:p ~other_max:q in
+      let candidates_r = candidate_table ~mine_max:q ~other_max:p in
+      let order_l = move_order p and order_r = move_order q in
+      let rec wins k =
+        visit k;
+        if k = 0 then true
+        else
+          let n = Packed.fill_sorted_pairs s ar ~nconsts ~rbits in
+          Packed.Pmemo.cached memo k s.keybuf n (fun () -> compute k)
+      and compute k =
+        (* closed form: never touches the shared table (the computation is
+           cheaper than building its key) *)
+        if k = 1 then w1 s ar ~p ~q
+        else
+          let sl = slot () in
+          match lookup k sl with Some r -> r | None -> expand k sl
+      and expand k sl =
+        let r = spoiler false k && spoiler true k in
+        (match sl with
+        (* limited-mode failures are not genuine Spoiler wins *)
+        | Some (c, key) when r || full -> Cache.store c key ~k r
+        | _ -> ());
+        r
+      and spoiler swap k =
+        let rec moves = function
+          | [] -> true
+          | a :: rest -> (dominated a || survives a) && moves rest
+        and dominated a =
+          let len = Arena.len ar in
+          let l = Arena.col_a ar and r = Arena.col_b ar in
+          let xs = if swap then r else l in
+          let rec go i = i < len && (Array.unsafe_get xs i = a || go (i + 1)) in
+          let d = go nconsts in
+          if d then Obs.Metrics.incr m_prune_dominated;
+          d
+        and survives a =
+          let other_max = if swap then p else q in
+          match forced_reply ar ~swap ~other_max a with
+          | exception Unsat ->
+              Obs.Metrics.incr m_prune_unsat;
+              false
+          | -1 ->
+              let cands = if swap then candidates_r a else candidates_l a in
+              if full then List.exists (fun b -> try_reply a b) cands
+              else
+                let rec go i = function
+                  | [] -> false
+                  | b :: rest -> i < limit && (try_reply a b || go (i + 1) rest)
+                in
+                go 0 cands
+          | b ->
+              Obs.Metrics.incr m_prune_forced;
+              try_reply a b
+        and try_reply a b =
+          let na, nb = if swap then (b, a) else (a, b) in
+          ext_ok ar na nb
+          && begin
+               Arena.push ar na nb;
+               let r = wins (k - 1) in
+               Arena.pop ar;
+               r
+             end
+        in
+        moves (if swap then order_r else order_l)
+      in
+      (* the root cannot recur below itself, so it skips the memo *)
+      let r = try Some (expand k0 root) with Packed.Budget_exceeded -> None in
+      (r, !nodes, Packed.Pmemo.size memo)
+    in
+    if not valid then (Some false, 0, 0)
+    else
+      match visit k0 with
+      | exception Packed.Budget_exceeded -> (None, !nodes, 0)
+      | () -> (
+          if k0 = 0 then (Some true, 1, 0)
+          else if k0 = 1 then (Some (w1 s ar ~p ~q), 1, 0)
+          else
+            let root = slot () in
+            match lookup k0 root with
+            | Some r -> (Some r, 1, 0)
+            | None -> search root)

@@ -35,8 +35,14 @@ val solve :
   bool option * int * int
 (** [solve ~p ~q ~init k]: can Duplicator win [k] more rounds of the game
     on c^p vs c^q from the position given by the played [init] pairs of
-    lengths? Requires [p ≥ 1] and [q ≥ 1] (so the letter constant is
-    defined on both sides). [limit] is the Duplicator candidate width
+    lengths? Requires [p, q ≥ 0] with [p + q ≥ 1]. When one side is ε
+    the letter constant is defined on the other side only, so the root
+    is no partial isomorphism: the answer is [(Some false, 0, 0)], with
+    no node and no table access, as {!Game.decide} gives it. The root is
+    settled before any search state is built: an invalid [init] gives
+    [(Some false, 0, 0)], and [k] ≤ 1 (the closed form) or a root
+    answered by [cache] returns with one node and no memo entries.
+    [limit] is the Duplicator candidate width
     ([max_int], the default, is the full search; with a finite limit,
     [Some true] stays sound and [Some false] only means the truncated
     search failed). [store_depth] bounds the position depth (played

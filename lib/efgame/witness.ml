@@ -33,30 +33,28 @@ let verdict_of_result = function
   | None -> Game.Unknown
 
 (* Decide [a^p ≡_k a^q] under the given engine, also reporting the number
-   of search nodes expanded. Cached/Parallel engines take the arithmetic
-   fast path ({!Unary.solve}) whenever both words are nonempty, skipping
-   [Game.make] entirely; pairs involving ε fall back to the general
-   solver (with the transposition table when present). [store_depth]
-   bounds the depth at which the shared table is touched (see
-   {!Unary.solve}); it never affects verdicts. *)
+   of search nodes expanded. Cached/Parallel engines send every pair to
+   the arithmetic solver ({!Unary.solve}), ε pairs included: it refutes
+   their root on the letter constant without a node or a table access,
+   as the general solver does, and never builds a word structure. Only
+   a^0 vs a^0, which has no letter at all, and the [Seed] engine take
+   the cache-less general solver. [store_depth] bounds the depth at which
+   the shared table is touched (see {!Unary.solve}); it never affects
+   verdicts. *)
 let decide_pair_counted ?budget ?(engine = Seed) ?(store_depth = max_int) ~k p q
     =
-  let general ?cache () =
-    let verdict, st =
-      Game.decide_with_stats ?budget ?cache (Game.make (unary p) (unary q)) k
-    in
-    (verdict, st.Game.nodes)
-  in
   match engine with
-  | Seed -> general ()
-  | Cached cache | Parallel (cache, _) ->
-      if p >= 1 && q >= 1 then
-        let budget = Option.value budget ~default:50_000_000 in
-        let r, nodes, _ =
-          Unary.solve ~cache ~store_depth ~budget ~p ~q ~init:[] k
-        in
-        (verdict_of_result r, nodes)
-      else general ~cache ()
+  | (Cached cache | Parallel (cache, _)) when p + q > 0 ->
+      let budget = Option.value budget ~default:50_000_000 in
+      let r, nodes, _ =
+        Unary.solve ~cache ~store_depth ~budget ~p ~q ~init:[] k
+      in
+      (verdict_of_result r, nodes)
+  | _ ->
+      let verdict, st =
+        Game.decide_with_stats ?budget (Game.make (unary p) (unary q)) k
+      in
+      (verdict, st.Game.nodes)
 
 let decide_pair ?budget ?engine ?store_depth ~k p q =
   fst (decide_pair_counted ?budget ?engine ?store_depth ~k p q)

@@ -8,10 +8,17 @@
     ({!Persist}) makes a repeated or resumed scan incremental. *)
 
 type engine =
-  | Seed  (** the cache-less solver, no transposition table *)
+  | Seed
+      (** the cache-less general solver on the two words ({!Game.make}),
+          no transposition table: the reference the table engines must
+          agree with *)
   | Cached of Cache.t
-      (** transposition-table-backed search; unary pairs dispatch to the
-          arithmetic fast path ({!Unary.solve}) directly *)
+      (** transposition-table-backed search; every pair, ε pairs
+          included, goes to the arithmetic fast path ({!Unary.solve})
+          directly and never builds a word structure. An ε pair is
+          refuted at its root on the letter constant, with no node and
+          no table access. Only a^0 vs a^0 takes the cache-less general
+          solver. *)
   | Parallel of Cache.t * int
       (** like [Cached], but scans steal pair-granularity chunks of the
           (p, q) triangle across the given number of worker domains
@@ -141,9 +148,11 @@ val index_of_pair : int -> int -> int
 val pair_of_index : int -> int * int
 
 val pair_key : int -> int -> Position.key
-(** The table key under which a scan's top-level verdict for the pair
-    (p, q) is stored — the unary fast-path key for p ≥ 1, the general
-    game's root key for ε pairs. *)
+(** The table key of the pair (p, q)'s top-level verdict: the unary
+    fast-path key for p ≥ 1, the general game's root key for ε pairs.
+    Scans never store under an ε key (those roots are refuted before any
+    table access), so {!table_verdict} answers for an ε pair only from
+    a table some other writer filled. *)
 
 val table_verdict : Cache.t -> k:int -> int -> int -> bool option
 (** [table_verdict cache ~k p q]: the pair's ≡_k verdict as recorded in

@@ -125,13 +125,49 @@ let rec compile (f : Formula.t) : cformula =
   | Exists (x, g) -> CExists (x, Formula.nnf g, compile g)
   | Forall (x, g) -> CForall (x, Formula.nnf (Formula.Not g), compile g)
 
+(* Alpha-rename every quantifier that rebinds a name already free or bound
+   elsewhere in [f], so all binders are distinct from each other and from
+   the free variables. [cover] reads [env] for every variable an atom
+   mentions, which is right only when no quantifier between the binding
+   and the atom rebinds that variable. *)
+let distinct_binders f =
+  let names = Formula.all_vars f in
+  let used = Hashtbl.create 16 in
+  List.iter (fun x -> Hashtbl.replace used x ()) (Formula.free_vars f);
+  let rec fresh y i =
+    let y' = Printf.sprintf "%s'%d" y i in
+    if Hashtbl.mem used y' || List.mem y' names then fresh y (i + 1) else y'
+  in
+  let rec go (f : Formula.t) : Formula.t =
+    match f with
+    | True | False | Eq _ | Mem _ -> f
+    | Not g -> Not (go g)
+    | And (a, b) ->
+        let a = go a in
+        And (a, go b)
+    | Or (a, b) ->
+        let a = go a in
+        Or (a, go b)
+    | Exists (y, g) ->
+        let y, g = bind y g in
+        Exists (y, go g)
+    | Forall (y, g) ->
+        let y, g = bind y g in
+        Forall (y, go g)
+  and bind y g =
+    let y' = if Hashtbl.mem used y then fresh y 1 else y in
+    Hashtbl.replace used y' ();
+    (y', if y' = y then g else Formula.rename_free [ (y, y') ] g)
+  in
+  go f
+
 let compiled_cache : (Formula.t, cformula) Hashtbl.t = Hashtbl.create 64
 
 let compile_cached f =
   match Hashtbl.find_opt compiled_cache f with
   | Some c -> c
   | None ->
-      let c = compile f in
+      let c = compile (distinct_binders f) in
       if Hashtbl.length compiled_cache > 512 then Hashtbl.reset compiled_cache;
       Hashtbl.add compiled_cache f c;
       c
@@ -167,19 +203,21 @@ let rec ceval ctx env (f : cformula) =
          outside the domain satisfy the body vacuously *)
       List.for_all (fun v -> ceval ctx ((x, v) :: env) g) domain
 
-let check_closed ~env f =
-  let unbound = List.filter (fun x -> not (List.mem_assoc x env)) (Formula.free_vars f) in
+(* The bindings of [f]'s free variables in [env]. The others are dropped:
+   a quantifier in [f] may reuse their names. *)
+let closing_env ~env f =
+  let fvs = Formula.free_vars f in
+  let unbound = List.filter (fun x -> not (List.mem_assoc x env)) fvs in
   if unbound <> [] then
     invalid_arg
-      (Printf.sprintf "Eval.holds: unbound free variables: %s" (String.concat ", " unbound))
+      (Printf.sprintf "Eval.holds: unbound free variables: %s" (String.concat ", " unbound));
+  List.filter (fun (x, _) -> List.mem x fvs) env
 
 let holds ?(env = []) st f =
-  check_closed ~env f;
-  ceval { st; guided = true } env (compile_cached f)
+  ceval { st; guided = true } (closing_env ~env f) (compile_cached f)
 
 let holds_naive ?(env = []) st f =
-  check_closed ~env f;
-  ceval { st; guided = false } env (compile_cached f)
+  ceval { st; guided = false } (closing_env ~env f) (compile_cached f)
 
 let language_member ?sigma f w =
   if not (Formula.is_sentence f) then invalid_arg "Eval.language_member: formula has free variables";
@@ -199,7 +237,7 @@ let assignments st f =
   let ctx = { st; guided = true } in
   let compiled = compile_cached f in
   let fvs = Formula.free_vars f in
-  let guidance = Formula.nnf f in
+  let guidance = Formula.nnf (distinct_binders f) in
   let rec go env = function
     | [] -> if ceval ctx env compiled then [ List.sort compare env ] else []
     | x :: rest ->

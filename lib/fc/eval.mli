@@ -20,7 +20,8 @@ val term_value : Structure.t -> env -> Term.t -> string option
 
 val holds : ?env:env -> Structure.t -> Formula.t -> bool
 (** [holds st φ]: (𝔄_w, σ) ⊨ φ. Free variables of [φ] must be bound by
-    [env] (unbound free variables raise [Invalid_argument]). *)
+    [env] (unbound free variables raise [Invalid_argument]); bindings of
+    other names are ignored, even where [φ] quantifies those names. *)
 
 val holds_naive : ?env:env -> Structure.t -> Formula.t -> bool
 (** Same semantics, no guidance; for tests and benches. *)

@@ -25,10 +25,18 @@ let cli =
     let p = Sys.argv.(1) in
     if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
 
-(* the big scan the kill loop interrupts (a few seconds of work) and the
-   small one used for the fault smoke (sub-second) *)
+(* the big scan the interrupting stages cut short and the small one used
+   for the fault smoke (sub-second) *)
 let n_big = "56"
 let n_smoke = "40"
+
+(* The interrupting stages (SIGKILL, deadline, SIGTERM) are timed as
+   shares of the measured wall time of the clean [n_big] scan, never as
+   constants, so a faster machine or a faster solver shortens them in
+   step. Each stage stops its run with at least [min_left] of that scan
+   still to do. *)
+let min_left = 0.5
+let kill_rounds = 8
 
 (* ---------------------------------------------------------- processes *)
 
@@ -121,17 +129,25 @@ let () =
 
   (* 1. the reference: one undisturbed exhaustive scan *)
   note "--- clean reference scan (frontier %s)" n_big;
+  let t0 = Unix.gettimeofday () in
   expect_ok
     [ "--frontier"; n_big; "--jobs"; "2"; "--table"; "clean.tbl"; "--json";
       "clean.json"; "-q" ];
+  let clean_s = Unix.gettimeofday () -. t0 in
   expect_field "clean.json" "outcome" "\"exhausted\"";
+  let share f = clean_s *. (1. -. min_left) *. f in
+  note "OK  clean scan took %.3f s; interrupting stages stop within %.3f s"
+    clean_s (share 1.);
 
   (* 2. kill -9 loop: SIGKILL the scan mid-flight, resume, repeat.
      Checkpoints land every scheduler tick (--checkpoint 0.01), so each
-     murdered run leaves progress behind; the growing kill delay
-     guarantees forward progress even if early kills land before the
-     first checkpoint. After the kill budget is spent the last run is
-     left alone, bounding the loop. *)
+     murdered run leaves progress behind. Kill i of [kill_rounds] lands
+     after i/[kill_rounds] of the allowed share of the clean scan: the
+     first lands early enough to hit even a fresh run, and the growing
+     delays add up to more than the whole scan, guaranteeing forward
+     progress even if early kills land before the first checkpoint.
+     After the kill budget is spent the last run is left alone, bounding
+     the loop. *)
   note "--- kill -9 / resume loop";
   let kills = ref 0 and attempts = ref 0 and finished = ref false in
   while (not !finished) && !attempts < 40 do
@@ -141,8 +157,8 @@ let () =
         [ "--frontier"; n_big; "--jobs"; "2"; "--table"; "crash.tbl";
           "--resume"; "--checkpoint"; "0.01"; "--json"; "crash.json"; "-q" ]
     in
-    if !attempts <= 8 then begin
-      Unix.sleepf (0.25 +. (0.15 *. float_of_int !attempts));
+    if !attempts <= kill_rounds then begin
+      Unix.sleepf (share (float_of_int !attempts /. float_of_int kill_rounds));
       (try Unix.kill pid Sys.sigkill
        with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
       match wait pid with
@@ -183,11 +199,15 @@ let () =
   expect_same_table ~what:"fault smoke" "fault.tbl" "smoke.tbl";
 
   (* 4. deadline watchdog: the scan stops itself, exits 0 with resumable
-     state, and a deadline-free resume completes to the reference *)
-  note "--- deadline watchdog";
+     state, and a deadline-free resume completes to the reference. The
+     deadline is half the allowed share, so the scan cannot win the race
+     by finishing first. *)
+  let deadline = share 0.5 in
+  note "--- deadline watchdog (%.3f s)" deadline;
   expect_ok
     [ "--frontier"; n_big; "--jobs"; "2"; "--table"; "dl.tbl"; "--checkpoint";
-      "0.05"; "--deadline"; "0.5"; "--json"; "dl.json"; "-q" ];
+      "0.05"; "--deadline"; Printf.sprintf "%.3f" deadline; "--json"; "dl.json";
+      "-q" ];
   expect_field "dl.json" "outcome" "\"interrupted\"";
   expect_field "dl.json" "stop_reason" "\"deadline\"";
   expect_ok
@@ -208,7 +228,7 @@ let () =
         "telemetry.json"; "--telemetry-interval"; "0.1"; "--json";
         "term.json"; "-q" ]
   in
-  Unix.sleepf 0.2;
+  Unix.sleepf (share 0.5);
   (try Unix.kill term_pid Sys.sigterm
    with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
   (match wait term_pid with

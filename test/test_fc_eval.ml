@@ -110,6 +110,13 @@ let test_guided_vs_naive () =
   (* differential testing on words small enough for the naive evaluator *)
   let formulas =
     [ Builders.ww; Builders.cube_free; Builders.vbv; Formula.Not Builders.ww ]
+    (* an inner quantifier shadows an outer y that the guidance for x
+       must not read *)
+    @ List.map Parser.parse_exn
+        [
+          "exists y. y = eps & exists x. exists y. y = 'a' . x";
+          "exists y. y = eps & forall x. !(exists y. y = x . 'a')";
+        ]
   in
   let words = Words.Word.enumerate ~alphabet:[ 'a'; 'b' ] ~max_len:4 in
   List.iter
@@ -120,7 +127,11 @@ let test_guided_vs_naive () =
           if Eval.holds st f <> Eval.holds_naive st f then
             Alcotest.failf "guided/naive disagree on %S" w)
         words)
-    formulas
+    formulas;
+  (* nor may an env binding of a name the formula only uses bound *)
+  let f = Parser.parse_exn "exists x. exists y. y = 'a' . x" in
+  let st = Structure.make ~sigma:[ 'a'; 'b' ] "a" in
+  check "unused env binding ignored" true (Eval.holds ~env:[ ("y", "b") ] st f)
 
 let test_language_upto () =
   let l = Eval.language_upto ~sigma:[ 'a'; 'b' ] Builders.ww ~max_len:4 in

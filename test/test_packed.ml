@@ -163,8 +163,10 @@ let unary_oracle ?(init = []) p q k =
   expected (Seed_oracle.wins ~pairs (Game.make (unary p) (unary q)) k)
 
 let test_unary_identity () =
-  for p = 1 to 12 do
-    for q = p to 12 do
+  (* p = 0 rows: ε against a^q, refuted at the root on the letter
+     constant (a^0 vs a^0 is not a unary instance) *)
+  for p = 0 to 12 do
+    for q = max p 1 to 12 do
       for k = 0 to 3 do
         Alcotest.check verdict
           (Printf.sprintf "a^%d vs a^%d @%d" p q k)
@@ -172,7 +174,10 @@ let test_unary_identity () =
           (unary_verdict (Unary.solve ~p ~q ~init:[] k))
       done
     done
-  done
+  done;
+  Alcotest.check_raises "a^0 vs a^0 refused"
+    (Invalid_argument "Unary.solve: need p, q >= 0 and p + q >= 1") (fun () ->
+      ignore (Unary.solve ~p:0 ~q:0 ~init:[] 2))
 
 let test_unary_identity_init_limit () =
   (* full width must match the oracle exactly; a limited search may fail
@@ -342,6 +347,33 @@ let test_arena_reuse_no_aliasing () =
   let g1 = Arena.generation (Packed.scratch_arena ()) in
   Alcotest.(check int) "one generation per solve" (g0 + 5) g1
 
+let test_settled_roots () =
+  (* a root settled by the closed form or by the table counts its one
+     node and builds no memo; a searched root builds one *)
+  let fresh = Unary.solve ~p:9 ~q:11 ~init:[] 3 in
+  List.iter
+    (fun (p, q) ->
+      let r, nodes, memo = Unary.solve ~p ~q ~init:[] 1 in
+      Alcotest.check verdict (Printf.sprintf "a^%d vs a^%d @1" p q)
+        (unary_oracle p q 1) (unary_verdict (r, nodes, memo));
+      Alcotest.(check (pair int int)) "k0 = 1: one node, no memo" (1, 0)
+        (nodes, memo))
+    [ (3, 4); (2, 3); (5, 9) ];
+  let cache = Cache.create () in
+  let r, _, memo = Unary.solve ~cache ~p:9 ~q:11 ~init:[] 3 in
+  Alcotest.(check bool) "searched root builds a memo" true (memo > 0);
+  let hits0 = (Cache.stats cache).Cache.hits in
+  let r', nodes', memo' = Unary.solve ~cache ~p:9 ~q:11 ~init:[] 3 in
+  Alcotest.(check bool) "table root: same verdict" true (r' = r);
+  Alcotest.(check (pair int int)) "table root: one node, no memo" (1, 0)
+    (nodes', memo');
+  Alcotest.(check int) "table root: one hit" (hits0 + 1)
+    (Cache.stats cache).Cache.hits;
+  (* settled roots share the arena with searched ones without
+     perturbing them *)
+  Alcotest.(check bool) "search replays after settled roots" true
+    (Unary.solve ~p:9 ~q:11 ~init:[] 3 = fresh)
+
 let test_arena_isolated_across_engines () =
   (* general and existential solves between two runs of the same
      general solve, all on the one arena, must not perturb its answer *)
@@ -380,6 +412,8 @@ let tests =
         test_arena_stale_mark;
       Alcotest.test_case "arena reuse, no stale aliasing" `Quick
         test_arena_reuse_no_aliasing;
+      Alcotest.test_case "settled roots build nothing" `Quick
+        test_settled_roots;
       Alcotest.test_case "arena isolated across engines" `Quick
         test_arena_isolated_across_engines;
     ] )

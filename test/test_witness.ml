@@ -51,6 +51,46 @@ let test_verify () =
   check "sound mode agrees" true (Witness.verify_pair_sound ~k:1 3 4 = Game.Equiv);
   check "sound mode never lies" true (Witness.verify_pair_sound ~k:1 2 3 <> Game.Equiv)
 
+(* ε pairs under the table engines go to the arithmetic solver, which
+   refutes their root on the letter constant: the seed's verdict, no
+   table entry, no table access, no node *)
+let test_epsilon_pairs () =
+  let cached = Cache.create () and parallel = Cache.create () in
+  for q = 1 to 12 do
+    for k = 0 to 3 do
+      let seed = Witness.verify_pair ~k 0 q in
+      List.iter
+        (fun (name, engine) ->
+          check
+            (Printf.sprintf "%s agrees with seed on (0, %d) at k=%d" name q k)
+            true
+            (Witness.verify_pair ~engine ~k 0 q = seed
+            && Witness.verify_pair ~engine ~k q 0 = seed))
+        [
+          ("cached", Witness.Cached cached);
+          ("parallel", Witness.Parallel (parallel, 2));
+        ]
+    done
+  done;
+  List.iter
+    (fun c ->
+      let st = Cache.stats c in
+      Alcotest.(check (list int)) "no entry, hit, miss or store" [ 0; 0; 0; 0 ]
+        [ st.Cache.entries; st.Cache.hits; st.Cache.misses; st.Cache.stores ])
+    [ cached; parallel ];
+  for q = 1 to 12 do
+    let t = Witness.index_of_pair 0 q in
+    let _, st =
+      Witness.scan ~engine:(Witness.Cached cached) ~range:(t, t + 1) ~k:3
+        ~max_n:12 ()
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "scan of (0, %d): one pair, no node, no lookup" q)
+      [ 1; 0; 0; 0 ]
+      [ st.Witness.pairs; st.Witness.nodes; st.Witness.cache_hits;
+        st.Witness.cache_misses ]
+  done
+
 let test_triangle_indexing () =
   (* pair_of_index is the exact inverse of index_of_pair over the whole
      scanned range, and the linearization is (q, p)-lexicographic *)
@@ -227,6 +267,8 @@ let tests =
         test_interrupted_resume;
       Alcotest.test_case "equivalence classes k=1" `Quick test_classes_k1;
       Alcotest.test_case "verification modes" `Quick test_verify;
+      Alcotest.test_case "ε pairs: seed verdicts, no table traffic" `Quick
+        test_epsilon_pairs;
       Alcotest.test_case "triangle indexing round-trips" `Quick
         test_triangle_indexing;
       Alcotest.test_case "scan: all engines agree with seed" `Quick
