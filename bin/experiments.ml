@@ -1,4 +1,4 @@
-(* Regenerates every experiment table (E1–E18) of EXPERIMENTS.md.
+(* Regenerates every experiment table (E1–E24) of EXPERIMENTS.md.
 
    Usage:
      experiments.exe            — print all tables to stdout
@@ -16,6 +16,9 @@
                                     (open at ui.perfetto.dev)
      experiments.exe --metrics FILE — dump the merged Obs counter snapshot
      experiments.exe --quiet / -v — progress verbosity on stderr
+
+   An unknown flag, or a flag missing its argument, prints the usage and
+   exits 2; --help prints it and exits 0.
 
    Budgets are chosen so that a full run finishes in a few minutes on a
    laptop; every solver verdict is three-valued, so a blown budget shows up
@@ -867,6 +870,11 @@ let preamble () =
    primitive-power lift from a weak premise (E11) shows the lemma's +3 slack is\n\
    essential.\n\n"
 
+let usage =
+  "usage: experiments.exe [--quick] [--markdown FILE] [--frontier N]\n\
+  \                       [--table FILE] [--trace FILE] [--metrics FILE]\n\
+  \                       [--quiet | -q] [-v | --verbose]"
+
 let () =
   let markdown = ref None in
   let quiet = ref false and verbosity = ref 0 in
@@ -905,7 +913,19 @@ let () =
     | ("-v" | "--verbose") :: rest ->
         incr verbosity;
         parse rest
-    | _ :: rest -> parse rest
+    | ("-h" | "--help") :: _ ->
+        print_endline usage;
+        exit 0
+    | arg :: _ ->
+        let what =
+          match arg with
+          | "--markdown" | "--frontier" | "--table" | "--trace" | "--metrics" ->
+              Printf.sprintf "%s expects an argument" arg
+          | _ -> Printf.sprintf "unknown argument %S" arg
+        in
+        Obs.Log.err "experiments: %s" what;
+        prerr_endline usage;
+        exit 2
   in
   parse (List.tl args);
   Obs.Log.setup ~quiet:!quiet ~verbosity:!verbosity ();

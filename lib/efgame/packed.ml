@@ -39,7 +39,7 @@ let bits_for v =
 type scratch = {
   ar : Arena.t;
   mutable keybuf : int array;
-  mutable w1buf : int array; (* closure values for the 1-round closed form *)
+  mutable w1buf : int array; (* closure of the last-round closed forms *)
 }
 
 let scratch_key =
@@ -52,6 +52,9 @@ let scratch_arena () = (scratch ()).ar
 let ensure_keybuf s n =
   if Array.length s.keybuf < n then
     s.keybuf <- Array.make (max 16 (2 * n)) 0
+
+let ensure_w1buf s n =
+  if Array.length s.w1buf < n then s.w1buf <- Array.make (max 64 (2 * n)) 0
 
 (* ------------------------------------------------------------------ *)
 (* Position memo: one table per remaining-round count. Within a table
@@ -435,6 +438,126 @@ let ext_ok_exist st ar nl nr =
   done;
   !ok
 
+(* Exact closed form for the last round of the full-width general game:
+   {!Unary}'s [w1] argument, carried over to any alphabet. Def. 3.1
+   constrains only the pebbled entries, so a Spoiler move [a] matters
+   only through the patterns it fires with them: a = xᵢ, a = xᵢ·xⱼ,
+   xᵢ = a·xⱼ, xᵢ = xⱼ·a and xᵢ = a·a (a = ε is a = xᵢ: ε is a constant).
+   The mover side's closure is the set of elements that fire one: the
+   xᵢ (ε among them), xᵢ·xⱼ, xᵢ with suffix xⱼ removed, xᵢ with prefix
+   xⱼ removed, and √xᵢ; ⊥ entries contribute nothing.
+   - A closure element equal to an entry is a constant (no move) or a
+     dominated move (its partner answers it). Any other closure move
+     fires a pattern whose mirror pins the reply down, so Duplicator
+     survives it iff that reply exists and passes [ext_ok]; the mirror
+     is taken from the first pattern that generates the move.
+   - A generic move (outside the closure) fires no pattern but the
+     ε-absorption ones (a = a·ε, a = ε·a), which hold on both sides for
+     any reply. So a reply passes [ext_ok] iff it fires nothing on its
+     own side, i.e. lies outside the reply side's closure: Duplicator
+     survives the generic moves iff, when the mover's closure misses a
+     factor, the reply side's closure misses one too.
+   [seen_l] / [seen_r] are all-clear bitsets over each side's ids on
+   entry and on return. No node or metric accounting inside: the leaves
+   below the closed form are not visited, as in the unary solver. *)
+exception Refuted
+
+let last_round s st ar ~seen_l ~seen_r =
+  let len = Arena.len ar in
+  (* distinct closure elements: the entries, three per entry pair, and
+     one square root per entry *)
+  ensure_w1buf s (len * ((3 * len) + 2));
+  let buf = s.w1buf in
+  (* [Some generic] when every closure move on the [swap]-oriented mover
+     side survives; [generic]: the closure misses some factor *)
+  let side ~swap =
+    let from_, to_ = if swap then (st.gr, st.gl) else (st.gl, st.gr) in
+    let ffb = from_.fb and tfb = to_.fb in
+    let xs = if swap then Arena.col_b ar else Arena.col_a ar in
+    let ys = if swap then Arena.col_a ar else Arena.col_b ar in
+    let seen = if swap then seen_r else seen_l in
+    let n = ref 0 in
+    let fresh a =
+      (not (Factor_bitset.Bitset.mem seen a))
+      && begin
+           Factor_bitset.Bitset.add seen a;
+           buf.(!n) <- a;
+           incr n;
+           true
+         end
+    in
+    (* a closure move with its forced reply r (-1: none exists) *)
+    let move a r =
+      if
+        fresh a
+        && not (r >= 0 && if swap then ext_ok st ar r a else ext_ok st ar a r)
+      then raise Refuted
+    in
+    let halves fb x =
+      let l = Factor_bitset.length fb x in
+      if l land 1 = 0 then
+        let h = Factor_bitset.sub_id fb x ~off:0 ~len:(l / 2) in
+        if Factor_bitset.is_suffix_of fb h x then h else -1
+      else -1
+    in
+    let generate () =
+      for i = 0 to len - 1 do
+        let x = xs.(i) in
+        if x >= 0 then ignore (fresh x)
+      done;
+      for i = 0 to len - 1 do
+        let xi = xs.(i) and yi = ys.(i) in
+        if xi >= 0 then begin
+          let li = Factor_bitset.length ffb xi in
+          let lyi = if yi >= 0 then Factor_bitset.length tfb yi else 0 in
+          for j = 0 to len - 1 do
+            let xj = xs.(j) and yj = ys.(j) in
+            if xj >= 0 then begin
+              let ydef = yi >= 0 && yj >= 0 in
+              let a = Factor_bitset.concat ffb xi xj in
+              if a >= 0 then
+                move a (if ydef then Factor_bitset.concat tfb yi yj else -1);
+              let lj = Factor_bitset.length ffb xj in
+              let lyj = if yj >= 0 then Factor_bitset.length tfb yj else 0 in
+              (* xi = a · xj *)
+              if Factor_bitset.is_suffix_of ffb xj xi then
+                move
+                  (Factor_bitset.sub_id ffb xi ~off:0 ~len:(li - lj))
+                  (if ydef && Factor_bitset.is_suffix_of tfb yj yi then
+                     Factor_bitset.sub_id tfb yi ~off:0 ~len:(lyi - lyj)
+                   else -1);
+              (* xi = xj · a *)
+              if Factor_bitset.is_prefix_of ffb xj xi then
+                move
+                  (Factor_bitset.sub_id ffb xi ~off:lj ~len:(li - lj))
+                  (if ydef && Factor_bitset.is_prefix_of tfb yj yi then
+                     Factor_bitset.sub_id tfb yi ~off:lyj ~len:(lyi - lyj)
+                   else -1)
+            end
+          done;
+          (* xi = a · a *)
+          let h = halves ffb xi in
+          if h >= 0 then move h (if yi >= 0 then halves tfb yi else -1)
+        end
+      done
+    in
+    let r =
+      match generate () with
+      | () -> Some (!n < Factor_bitset.size ffb)
+      | exception Refuted -> None
+    in
+    for t = 0 to !n - 1 do
+      Factor_bitset.Bitset.remove seen buf.(t)
+    done;
+    r
+  in
+  match side ~swap:false with
+  | None -> false
+  | Some generic_l -> (
+      match side ~swap:true with
+      | None -> false
+      | Some generic_r -> generic_l = generic_r)
+
 let factor_id fb v =
   match Factor_bitset.id_of fb v with
   | Some i -> i
@@ -444,7 +567,8 @@ let factor_id fb v =
    (Left moves only, directional extension check, no Obs metrics). The
    played [init] pairs sit on the arena above the constants, exactly
    where the search's own plays go. Duplicator tries the derived replies
-   first, then at most [width] of the remaining candidates. *)
+   first, then at most [width] of the remaining candidates. The full-width
+   general game settles its last round with [last_round] instead. *)
 let run st ~exist ~metrics ~init ~width ~nodes0 ~budget k0 =
   let s = scratch () in
   let ar = s.ar in
@@ -464,6 +588,15 @@ let run st ~exist ~metrics ~init ~width ~nodes0 ~budget k0 =
       ~npairs_at:(fun k -> npairs0 + (k0 - k))
       ~pairbits:st.gbits
   in
+  (* the last round is settled in closed form unless Duplicator is
+     one-sided or width-limited *)
+  let closed = (not exist) && width = max_int in
+  let seen_l =
+    Factor_bitset.Bitset.create (if closed then Factor_bitset.size st.gl.fb else 0)
+  in
+  let seen_r =
+    Factor_bitset.Bitset.create (if closed then Factor_bitset.size st.gr.fb else 0)
+  in
   let rec wins k =
     incr nodes;
     if metrics then Obs.Metrics.vec_incr m_nodes k;
@@ -473,6 +606,7 @@ let run st ~exist ~metrics ~init ~width ~nodes0 ~budget k0 =
       let n = fill_sorted_pairs s ar ~nconsts ~rbits in
       Pmemo.cached memo k s.keybuf n (fun () ->
           if exist then spoiler false k
+          else if closed && k = 1 then last_round s st ar ~seen_l ~seen_r
           else spoiler false k && spoiler true k)
   and spoiler swap k =
     let moves = if swap then st.moves_r else st.moves_l in

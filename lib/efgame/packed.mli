@@ -42,9 +42,11 @@ val run_general :
     word ([Invalid_argument] otherwise); the caller checks that the
     position is a partial isomorphism. Duplicator tries the derived
     replies, then at most [width] (default unlimited) of the other
-    candidates. [nodes] is counted on top of [nodes0], so a caller's
-    running total threads through the budget check. [None] on budget
-    exhaustion. *)
+    candidates. At full width the last round is settled in closed form
+    from the pebbled closure (see packed.ml), so no k = 0 leaf is
+    visited or counted. [nodes] is counted on top of [nodes0], so a
+    caller's running total threads through the budget check. [None] on
+    budget exhaustion. *)
 
 val run_existential : gstate -> budget:int -> int -> bool option
 (** The one-sided {!Existential} search (Spoiler moves left only,
@@ -59,9 +61,13 @@ type scratch = {
   mutable w1buf : int array;
 }
 (** Per-domain solve scratch: the arena, the sort buffer
-    {!fill_sorted_pairs} writes, and the unary closed form's buffer. *)
+    {!fill_sorted_pairs} writes, and the last-round closed forms'
+    closure buffer (unary and general). *)
 
 val scratch : unit -> scratch
+
+val ensure_w1buf : scratch -> int -> unit
+(** Grow [w1buf] to hold at least [n] values. *)
 
 val bits_for : int -> int
 (** Smallest [b >= 1] with [v < 2^b]. *)

@@ -203,13 +203,15 @@ let save ?(max_depth = max_int) ?(fsync = true) ?bound cache path =
 (* ------------------------------------------------------------- load *)
 
 (* v1 structural walk: [Some entries] when the declared count tiles the
-   payload exactly, [None] otherwise. *)
+   payload exactly, [None] otherwise (a negative count — a u64 past
+   max_int — tiles nothing). *)
 let walk_v1 data count =
   let len = String.length data in
   let b = Bytes.unsafe_of_string data in
   let pos = ref 24 in
   let acc = ref [] in
   match
+    if count < 0 then raise Exit;
     for _ = 1 to count do
       if !pos + 4 > len then raise Exit;
       let klen = Int32.to_int (Bytes.get_int32_le b !pos) in

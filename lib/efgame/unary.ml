@@ -155,9 +155,6 @@ let closure ar ~swap ~max_v buf =
   done;
   !n
 
-let ensure_w1buf (s : Packed.scratch) n =
-  if Array.length s.w1buf < n then s.w1buf <- Array.make (max 64 (2 * n)) 0
-
 (* Exact closed form for the 1-round game. A closure move's reply is
    pinned down by [forced_reply] (or refuted outright); a generic move
    [a] — one outside the closure — fires no pattern, and neither does a
@@ -171,7 +168,7 @@ let ensure_w1buf (s : Packed.scratch) n =
    inside. *)
 let w1 (s : Packed.scratch) ar ~p ~q =
   let len = Arena.len ar in
-  ensure_w1buf s (len * ((2 * len) + 1));
+  Packed.ensure_w1buf s (len * ((2 * len) + 1));
   let buf = s.w1buf in
   let side ~swap ~mine_max ~other_max =
     let cs_n = closure ar ~swap ~max_v:mine_max buf in

@@ -254,12 +254,11 @@ let test_scan_identity () =
 (* ------------------------------------------------------------------ *)
 (* Randomized *)
 
-let gen_word =
+let gen_over letters n =
   QCheck.Gen.(
-    sized_size (int_bound 6) (fun n ->
-        map
-          (fun l -> String.init (List.length l) (List.nth l))
-          (list_repeat n (oneofl [ 'a'; 'b' ]))))
+    map (fun l -> String.of_seq (List.to_seq l)) (list_repeat n (oneofl letters)))
+
+let gen_word = QCheck.Gen.sized_size (QCheck.Gen.int_bound 6) (gen_over [ 'a'; 'b' ])
 
 let arb_pair_k =
   QCheck.make
@@ -272,6 +271,62 @@ let qcheck_general =
     arb_pair_k (fun (w, v, k) ->
       let cfg = Game.make w v in
       Game.decide cfg k = expected (Seed_oracle.wins cfg k))
+
+(* The closed-form last round against the oracle at k = 1 and 2, from
+   the empty position and from one random played pair (ε replies,
+   squares and, under the full alphabet {a, b, c}, ⊥ constants: a letter
+   missing from both words is ⊥ on both sides), cache-less and through
+   one table shared by every case. The right word uses exactly the left
+   word's letters and the played right element often repeats the left
+   one, so most cases start from a partial isomorphism. *)
+let shared_cache = Cache.create ()
+
+(* length first, so long factors are as likely as short ones *)
+let gen_factor w =
+  QCheck.Gen.(
+    int_bound (String.length w) >>= fun len ->
+    int_bound (String.length w - len) >|= fun off -> String.sub w off len)
+
+let arb_last_round =
+  QCheck.make
+    ~print:(fun (w, v, full, (a, b), k) ->
+      Printf.sprintf "(%S, %S, sigma=%s, played (%S, %S), k=%d)" w v
+        (if full then "abc" else "letters") a b k)
+    QCheck.Gen.(
+      int_bound 7 >>= fun n ->
+      int_bound (8 - n) >>= fun m ->
+      gen_over [ 'a'; 'b'; 'c' ] n >>= fun w ->
+      let letters = Words.Word.alphabet w in
+      let extra = if letters = [] then 0 else max 0 (m - List.length letters) in
+      list_repeat extra (oneofl letters) >>= fun rest ->
+      shuffle_l (letters @ rest) >>= fun v ->
+      let v = String.of_seq (List.to_seq v) in
+      gen_factor w >>= fun a ->
+      (if Words.Word.is_factor ~factor:a v then
+         frequency [ (1, gen_factor v); (1, return a) ]
+       else gen_factor v)
+      >>= fun b ->
+      bool >>= fun full ->
+      int_range 1 2 >|= fun k -> (w, v, full, (a, b), k))
+
+let qcheck_last_round =
+  QCheck.Test.make ~count:3000 ~name:"closed-form last round = oracle"
+    arb_last_round (fun (w, v, full, pair, k) ->
+      let cfg =
+        if full then Game.make ~sigma:[ 'a'; 'b'; 'c' ] w v else Game.make w v
+      in
+      let root_oracle = Seed_oracle.wins cfg k in
+      let pair_oracle = Seed_oracle.wins ~pairs:[ pair ] cfg k in
+      let from_root = expected root_oracle and played = expected pair_oracle in
+      Game.decide cfg k = from_root
+      && Game.decide ~cache:shared_cache cfg k = from_root
+      && Game.solver_wins (Game.solver cfg) [ pair ] k = played
+      && Game.solver_wins (Game.solver ~cache:shared_cache cfg) [ pair ] k
+         = played
+      (* one-letter words reach the general engine only directly *)
+      && ((not (Game.base_partial_iso cfg)) || packed_wins cfg k = root_oracle)
+      && ((not (Seed_oracle.wins ~pairs:[ pair ] cfg 0))
+         || packed_wins ~pairs:[ pair ] cfg k = pair_oracle))
 
 let arb_unary =
   QCheck.make
@@ -374,6 +429,36 @@ let test_settled_roots () =
   Alcotest.(check bool) "search replays after settled roots" true
     (Unary.solve ~p:9 ~q:11 ~init:[] 3 = fresh)
 
+let test_general_last_round_nodes () =
+  (* the closed form settles the last round without visiting its
+     leaves: a 1-round general game is one node, and a 2-round one
+     visits the root and its k = 1 children only *)
+  List.iter
+    (fun (w, v) ->
+      let cfg = Game.make w v in
+      let got, st = Game.decide_with_stats cfg 1 in
+      Alcotest.check verdict (w ^ " vs " ^ v ^ " @1")
+        (expected (Seed_oracle.wins cfg 1))
+        got;
+      Alcotest.(check int) (w ^ " vs " ^ v ^ " @1 nodes") 1 st.Game.nodes)
+    [ ("abab", "baba"); ("aab", "abb"); ("abcab", "abcba"); ("ab", "aabb") ];
+  let by_k () =
+    match List.assoc_opt "game.nodes_by_k" (Obs.Metrics.snapshot ()) with
+    | Some (Obs.Metrics.Vec v) -> Array.copy v
+    | _ -> Alcotest.fail "game.nodes_by_k not registered"
+  in
+  Obs.Metrics.enable ();
+  let before = by_k () in
+  let _, st =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        Game.decide_with_stats (Game.make "abab" "baba") 2)
+  in
+  let delta = Array.mapi (fun i n -> n - before.(i)) (by_k ()) in
+  Alcotest.(check int) "no k = 0 leaf counted" 0 delta.(0);
+  Alcotest.(check bool) "k = 1 nodes counted" true (delta.(1) > 0);
+  Alcotest.(check int) "buckets sum to nodes" st.Game.nodes
+    (Array.fold_left ( + ) 0 delta)
+
 let test_arena_isolated_across_engines () =
   (* general and existential solves between two runs of the same
      general solve, all on the one arena, must not perturb its answer *)
@@ -407,6 +492,9 @@ let tests =
       Alcotest.test_case "scan identity" `Slow test_scan_identity;
       QCheck_alcotest.to_alcotest qcheck_general;
       QCheck_alcotest.to_alcotest qcheck_unary;
+      QCheck_alcotest.to_alcotest qcheck_last_round;
+      Alcotest.test_case "general k = 1 roots visit one node" `Quick
+        test_general_last_round_nodes;
       Alcotest.test_case "arena basics" `Quick test_arena_basics;
       Alcotest.test_case "arena stale mark refused" `Quick
         test_arena_stale_mark;
