@@ -231,14 +231,9 @@ let bench_factor_set_vs_sa =
     (Staged.stage (fun () -> ignore (Words.Factors.of_word w)))
 
 let bench_vset_eval =
-  let va = Spanner.Vset_automaton.of_regex_formula (Spanner.Regex_formula.parse_exn "x{a*}y{(ba)*}") in
+  let va = Spanner.Regex_formula.compile (Spanner.Regex_formula.parse_exn "x{a*}y{(ba)*}") in
   Test.make ~name:"spanner/vset_eval [ablation]"
     (Staged.stage (fun () -> ignore (Spanner.Vset_automaton.eval va (unary 8 ^ rep "ba" 8))))
-
-let bench_formula_eval =
-  let rf = Spanner.Regex_formula.parse_exn "x{a*}y{(ba)*}" in
-  Test.make ~name:"spanner/regex_formula_eval [ablation]"
-    (Staged.stage (fun () -> ignore (Spanner.Regex_formula.eval rf (unary 8 ^ rep "ba" 8))))
 
 let bench_rewrite =
   let e =
@@ -289,7 +284,7 @@ let all_tests =
     bench_spanner_extract; bench_spanner_join; bench_spanner_reduction;
     bench_fooling; bench_langs;
     bench_suffix_automaton_build; bench_factor_set_vs_sa;
-    bench_vset_eval; bench_formula_eval; bench_rewrite;
+    bench_vset_eval; bench_rewrite;
     bench_existential; bench_pebble; bench_fo_eq; bench_presburger;
   ]
 

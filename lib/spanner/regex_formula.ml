@@ -42,62 +42,73 @@ let rec of_regex (r : Regex_engine.Regex.t) =
   | Regex_engine.Regex.Cat (a, b) -> Cat (of_regex a, of_regex b)
   | Regex_engine.Regex.Star a -> Star (of_regex a)
 
-let eval formula doc =
-  if not (is_functional formula) then invalid_arg "Regex_formula.eval: formula is not functional";
-  let n = String.length doc in
-  (* memoized boolean matcher for variable-free subformulas *)
-  let bool_memo : (t * int * int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let rec bool_matches r i j =
-    match Hashtbl.find_opt bool_memo (r, i, j) with
-    | Some b -> b
-    | None ->
-        let b =
-          match r with
-          | Empty -> false
-          | Eps -> i = j
-          | Char c -> j = i + 1 && doc.[i] = c
-          | Alt (a, b) -> bool_matches a i j || bool_matches b i j
-          | Cat (a, b) ->
-              let rec split m = m <= j && ((bool_matches a i m && bool_matches b m j) || split (m + 1)) in
-              split i
-          | Star a ->
-              i = j
-              ||
-              let rec step m = m <= j && ((m > i && bool_matches a i m && bool_matches r m j) || step (m + 1)) in
-              step (i + 1)
-          | Bind (_, a) -> bool_matches a i j
-        in
-        Hashtbl.replace bool_memo (r, i, j) b;
-        b
+(* Thompson construction with fragments (entry, exit). Empty is a
+   fragment with no path, Eps has entry = exit. ε-moves are [Open ""]: the
+   empty variable name is reserved (no parser accepts it). *)
+let compile formula =
+  let transitions = ref [] and count = ref 0 in
+  let fresh () = incr count; !count - 1 in
+  let add q l q' = transitions := (q, l, q') :: !transitions in
+  let eps = Vset_automaton.Open "" in
+  let rec build = function
+    | Empty ->
+        let i = fresh () and o = fresh () in
+        (i, o)
+    | Eps ->
+        let i = fresh () in
+        (i, i)
+    | Char c ->
+        let i = fresh () and o = fresh () in
+        add i (Vset_automaton.Read c) o;
+        (i, o)
+    | Alt (a, b) ->
+        let i = fresh () and o = fresh () in
+        let ia, oa = build a and ib, ob = build b in
+        add i eps ia;
+        add i eps ib;
+        add oa eps o;
+        add ob eps o;
+        (i, o)
+    | Cat (a, b) ->
+        let ia, oa = build a and ib, ob = build b in
+        add oa eps ib;
+        (ia, ob)
+    | Star a ->
+        let i = fresh () in
+        let ia, oa = build a in
+        add i eps ia;
+        add oa eps i;
+        (i, i)
+    | Bind (x, a) ->
+        let i = fresh () and o = fresh () in
+        let ia, oa = build a in
+        add i (Vset_automaton.Open x) ia;
+        add oa (Vset_automaton.Close x) o;
+        (i, o)
   in
-  (* binding enumerator; only called on subformulas that contain variables *)
-  let rec bindings r i j : (string * Span.t) list list =
-    if vars_raw r = [] then if bool_matches r i j then [ [] ] else []
-    else
-      match r with
-      | Empty | Eps | Char _ | Star _ -> assert false (* variable-free *)
-      | Alt (a, b) -> bindings a i j @ bindings b i j
-      | Cat (a, b) ->
-          List.concat_map
-            (fun m ->
-              let ba = bindings a i m in
-              if ba = [] then []
-              else
-                let bb = bindings b m j in
-                List.concat_map (fun ea -> List.map (fun eb -> ea @ eb) bb) ba)
-            (List.init (j - i + 1) (fun d -> i + d))
-      | Bind (x, a) ->
-          bindings a i j |> List.map (fun e -> (x, Span.make i j) :: e)
-  in
-  let tuples = bindings formula 0 n in
-  if vars formula = [] then if tuples <> [] then Relation.unit else Relation.empty []
-  else if tuples = [] then Relation.empty (vars formula)
-  else Relation.of_assoc tuples
+  let entry, exit_ = build formula in
+  Vset_automaton.make ~states:!count ~start:entry ~accepting:[ exit_ ] ~transitions:!transitions
 
-let matches_anywhere formula doc =
-  let sigma = Words.Word.alphabet doc in
-  let wild = of_regex (Regex_engine.Regex.all_words sigma) in
-  eval (Cat (wild, Cat (formula, wild))) doc
+let m_compiles = Obs.Metrics.counter "spanner.compiles"
+
+(* Compiled automata keyed structurally by (anywhere, formula); reset
+   wholesale when full, like [Fc.Eval]'s compiled cache. *)
+let compiled_cache : (bool * t, Vset_automaton.t) Hashtbl.t = Hashtbl.create 64
+
+let compile_cached ~anywhere formula =
+  match Hashtbl.find_opt compiled_cache (anywhere, formula) with
+  | Some a -> a
+  | None ->
+      if not (is_functional formula) then invalid_arg "Regex_formula.eval: formula is not functional";
+      Obs.Metrics.incr m_compiles;
+      let a = compile formula in
+      let a = if anywhere then Vset_automaton.anywhere a else a in
+      if Hashtbl.length compiled_cache > 512 then Hashtbl.reset compiled_cache;
+      Hashtbl.add compiled_cache (anywhere, formula) a;
+      a
+
+let eval formula doc = Vset_automaton.eval (compile_cached ~anywhere:false formula) doc
+let matches_anywhere formula doc = Vset_automaton.eval (compile_cached ~anywhere:true formula) doc
 
 (* ------------------------------------------------------------------ *)
 (* Syntax: regex syntax plus ident{...} bindings.                      *)

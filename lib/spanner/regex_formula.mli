@@ -23,13 +23,22 @@ val is_functional : t -> bool
     variables, concatenations bind disjoint sets, starred subformulas and
     rebindings bind none. *)
 
+val compile : t -> Vset_automaton.t
+(** Thompson construction; [Bind (x, f)] becomes ⊢x · f · x⊣. No
+    functionality check. *)
+
 val eval : t -> string -> Relation.t
 (** All matches of the whole document: one row per span assignment. Raises
-    [Invalid_argument] when the formula is not functional. *)
+    [Invalid_argument] when the formula is not functional. The formula is
+    compiled once ({!compile}) into a bounded structural cache and run by
+    {!Vset_automaton.eval}; cache misses count in the [spanner.compiles]
+    metric. *)
 
 val matches_anywhere : t -> string -> Relation.t
-(** Convenience: evaluates [Σ* · γ · Σ*] over the document's own alphabet,
-    i.e. finds every occurrence of γ as a factor, with γ's bindings. *)
+(** Every occurrence of γ as a factor, with γ's bindings: {!eval} of
+    [Σ* · γ · Σ*], where Σ* is an any-letter self-loop
+    ({!Vset_automaton.anywhere}), so one compiled automaton serves every
+    document. *)
 
 val of_regex : Regex_engine.Regex.t -> t
 (** Variable-free embedding. *)

@@ -39,12 +39,14 @@ let join a b =
   List.iter
     (fun (qa, la, qa') ->
       match la with
-      | V.Read c ->
-          (* pair with every Read c of b *)
+      | V.Read _ | V.Any ->
+          (* pair with every letter move of b that reads the same letter *)
           List.iter
             (fun (qb, lb, qb') ->
-              match lb with
-              | V.Read c' when c' = c -> add (encode qa qb) (V.Read c) (encode qa' qb')
+              match (la, lb) with
+              | V.Read c, V.Read c' when c' = c -> add (encode qa qb) la (encode qa' qb')
+              | (V.Read _ as l), V.Any | V.Any, (V.Read _ as l) | (V.Any as l), V.Any ->
+                  add (encode qa qb) l (encode qa' qb')
               | _ -> ())
             (V.transitions b)
       | V.Open x when x <> "" && List.mem x shared ->
@@ -67,7 +69,7 @@ let join a b =
   List.iter
     (fun (qb, lb, qb') ->
       match lb with
-      | V.Read _ -> ()
+      | V.Read _ | V.Any -> ()
       | V.Open x when x <> "" && List.mem x shared -> ()
       | V.Close x when List.mem x shared -> ()
       | l ->
@@ -85,7 +87,7 @@ let join a b =
 
 let rec of_algebra (e : Algebra.expr) =
   match e with
-  | Algebra.Extract f -> Some (V.of_regex_formula f)
+  | Algebra.Extract f -> Some (Regex_formula.compile f)
   | Algebra.Union (x, y) -> (
       match (of_algebra x, of_algebra y) with
       | Some a, Some b -> Some (union a b)

@@ -4,11 +4,12 @@
     A vset-automaton is an NFA whose transitions are either letter reads or
     variable operations ⊢x (open) and x⊣ (close); an accepting run over a
     document assigns each variable the span between its open and close
-    operations. Regex formulas compile into vset-automata (Thompson-style),
-    and the two evaluators are differentially tested against each other. *)
+    operations. Regex formulas compile into vset-automata (Thompson-style,
+    {!Regex_formula.compile}); this module is the only spanner evaluator. *)
 
 type label =
   | Read of char
+  | Any  (** reads any one letter *)
   | Open of string  (** ⊢x *)
   | Close of string  (** x⊣ *)
 
@@ -18,7 +19,9 @@ val make :
   states:int -> start:int -> accepting:int list ->
   transitions:(int * label * int) list -> t
 (** Raises [Invalid_argument] on out-of-range states. The variable set is
-    inferred from the labels. *)
+    inferred from the labels; [Open ""] and [Close ""] are ε-moves. The
+    ε- and operation-moves are folded into the letter moves here, once, so
+    every {!eval} reuses the compiled form. *)
 
 val states : t -> int
 val start : t -> int
@@ -26,21 +29,22 @@ val accepting : t -> int list
 val vars : t -> string list
 val transitions : t -> (int * label * int) list
 
-val of_regex_formula : Regex_formula.t -> t
-(** Thompson construction; [Bind (x, f)] becomes ⊢x · f · x⊣. *)
+val anywhere : t -> t
+(** Σ*·A·Σ*: a fresh start and a fresh accepting state, each with an
+    [Any] self-loop, around [A]. The result matches every factor of a
+    document that [A] matches, whatever the document's alphabet. *)
 
 val eval : t -> string -> Relation.t
 (** All accepting runs over the whole document, as a span relation over the
-    automaton's variables. Runs that open a variable and never close it (or
-    never open it) do not produce rows. Raises [Invalid_argument] when
-    different accepting runs bind different variable sets (non-functional
-    use); check {!is_functional} first. *)
+    automaton's variables. A run yields a row only if it opens and then
+    closes every variable exactly once; other runs (a variable never
+    opened, opened and never closed, or opened twice) are dropped, so
+    non-functional automata simply lose those runs — check
+    {!is_functional} to rule them out. A backward pass marks the
+    co-reachable (position, state) nodes; enumeration then visits only
+    those, once each, so ambiguous automata stay polynomial. Each visited
+    node counts in the [spanner.run_nodes] metric. *)
 
 val is_functional : t -> bool
 (** Every accepting run opens and closes every variable exactly once
     (decided by reachability over variable-status abstractions). *)
-
-val run_count : t -> string -> int
-(** Number of distinct accepting configurations (the evaluator merges
-    branches that reach the same state with the same variable statuses, so
-    syntactically duplicated paths count once). *)

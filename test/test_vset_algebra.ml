@@ -15,7 +15,7 @@ let agree_on_docs name automaton expr =
 
 let test_union () =
   let f1 = rf "x{a*}" and f2 = rf "x{b*}" in
-  let va = Vset_algebra.union (Vset_automaton.of_regex_formula f1) (Vset_automaton.of_regex_formula f2) in
+  let va = Vset_algebra.union (Regex_formula.compile f1) (Regex_formula.compile f2) in
   agree_on_docs "union" va (Algebra.Union (Algebra.Extract f1, Algebra.Extract f2))
 
 let test_union_schema_mismatch () =
@@ -23,19 +23,19 @@ let test_union_schema_mismatch () =
     (Invalid_argument "Vset_algebra.union: different variable sets") (fun () ->
       ignore
         (Vset_algebra.union
-           (Vset_automaton.of_regex_formula (rf "x{a*}"))
-           (Vset_automaton.of_regex_formula (rf "y{a*}"))))
+           (Regex_formula.compile (rf "x{a*}"))
+           (Regex_formula.compile (rf "y{a*}"))))
 
 let test_project () =
   let f = rf "x{a*}y{b*}" in
-  let va = Vset_algebra.project [ "x" ] (Vset_automaton.of_regex_formula f) in
+  let va = Vset_algebra.project [ "x" ] (Regex_formula.compile f) in
   agree_on_docs "project" va (Algebra.Project ([ "x" ], Algebra.Extract f))
 
 let test_join_disjoint_vars () =
   (* no shared variables: cartesian combination on the same document *)
   let f1 = rf "x{a*}(a|b)*" and f2 = rf "(a|b)*y{b*}" in
   let va =
-    Vset_algebra.join (Vset_automaton.of_regex_formula f1) (Vset_automaton.of_regex_formula f2)
+    Vset_algebra.join (Regex_formula.compile f1) (Regex_formula.compile f2)
   in
   agree_on_docs "join disjoint" va (Algebra.Join (Algebra.Extract f1, Algebra.Extract f2))
 
@@ -43,9 +43,20 @@ let test_join_shared_var () =
   (* shared x: both must carve out the same span *)
   let f1 = rf "x{a*}(a|b)*" and f2 = rf "x{a*}b*" in
   let va =
-    Vset_algebra.join (Vset_automaton.of_regex_formula f1) (Vset_automaton.of_regex_formula f2)
+    Vset_algebra.join (Regex_formula.compile f1) (Regex_formula.compile f2)
   in
   agree_on_docs "join shared" va (Algebra.Join (Algebra.Extract f1, Algebra.Extract f2))
+
+let test_join_any () =
+  (* any-letter loops pair with letters and with each other *)
+  let wrap f = Regex_formula.Cat (rf "(a|b)*", Regex_formula.Cat (f, rf "(a|b)*")) in
+  let f1 = rf "x{a}" and f2 = rf "y{ba}" in
+  let va =
+    Vset_algebra.join
+      (Vset_automaton.anywhere (Regex_formula.compile f1))
+      (Vset_automaton.anywhere (Regex_formula.compile f2))
+  in
+  agree_on_docs "join any" va (Algebra.Join (Algebra.Extract (wrap f1), Algebra.Extract (wrap f2)))
 
 let test_of_algebra () =
   let e =
@@ -104,6 +115,7 @@ let tests =
       Alcotest.test_case "projection" `Quick test_project;
       Alcotest.test_case "join, disjoint variables" `Quick test_join_disjoint_vars;
       Alcotest.test_case "join, shared variable" `Quick test_join_shared_var;
+      Alcotest.test_case "join, any-letter loops" `Quick test_join_any;
       Alcotest.test_case "algebra compilation" `Quick test_of_algebra;
       Alcotest.test_case "non-regular rejected" `Quick test_of_algebra_rejects;
       Alcotest.test_case "recognizable relations" `Quick test_recognizable;
