@@ -10,7 +10,8 @@
    Rows are the solver workloads from bench/main.ml, including the two
    hot rows (scan_k3_cached and fooling_pipeline). A cell is null when the row has no meaningful
    setting of the toggled flag (e.g. the exhaustive k=3 scan without a
-   table would dominate the sweep's wall clock).
+   table would dominate the sweep's wall clock; a single decide such as
+   unary_equiv runs on one domain, so it has no jobs=2 cell).
 
    Output: a human table on stdout and, with --json PATH, a
    machine-readable matrix (schema efgame-ablate/1) carrying the same
@@ -81,16 +82,11 @@ let rows =
     {
       r_name = "efgame/unary_equiv(a^12 vs a^14, k=2)";
       supports_cache = true;
-      supports_jobs = true;
+      supports_jobs = false;
       run =
         (fun cfg ->
           let w, v = (unary 12, unary 14) in
-          if cfg.jobs > 1 then
-            ignore
-              (Efgame.Parallel.decide ~jobs:cfg.jobs
-                 ~cache:(Efgame.Cache.create ())
-                 (Efgame.Game.make w v) 2)
-          else if cfg.cached then
+          if cfg.cached then
             ignore (Efgame.Game.equiv ~cache:(Efgame.Cache.create ()) w v 2)
           else ignore (Efgame.Game.equiv w v 2));
     };

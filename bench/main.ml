@@ -158,15 +158,6 @@ let bench_frontier_k3_cached =
          let engine = Efgame.Witness.Cached (Efgame.Cache.create ()) in
          ignore (Efgame.Witness.minimal_pair ~engine ~k:3 ~max_n:40 ())))
 
-let bench_parallel_decide =
-  Test.make ~name:"efgame/parallel_decide(a^12 vs a^14, k=2, 2 domains)"
-    (Staged.stage (fun () ->
-         let cache = Efgame.Cache.create () in
-         ignore
-           (Efgame.Parallel.decide ~jobs:2 ~cache
-              (Efgame.Game.make (unary 12) (unary 14))
-              2)))
-
 let bench_limited_mode =
   Test.make ~name:"efgame/duplicator_limited(a^12 vs a^14, k=2) [ablation]"
     (Staged.stage (fun () ->
@@ -279,7 +270,7 @@ let all_tests =
     bench_fc_vbv; bench_bounded_compile;
     bench_unary_neq; bench_unary_witness; bench_anbn; bench_powers;
     bench_scan_k2_seed; bench_scan_k2_cached; bench_scan_k2_parallel;
-    bench_frontier_k3_cached; bench_parallel_decide;
+    bench_frontier_k3_cached;
     bench_limited_mode; bench_strategy_pseudo; bench_strategy_power;
     bench_spanner_extract; bench_spanner_join; bench_spanner_reduction;
     bench_fooling; bench_langs;

@@ -4,7 +4,7 @@
      efgame_cli aaa aaaa --rounds 1
      efgame_cli aa aaa --rounds 2 --explain
      efgame_cli aaaa aaaaaa --rounds 2 --cache --stats
-     efgame_cli abab baba --rounds 2 --jobs 4
+     efgame_cli abab baba --rounds 2 --cache
      efgame_cli --scan 2 --max 14            (minimal unary pair search)
      efgame_cli --classes 1 --max 8          (≡_k classes of a^0..a^max)
      efgame_cli --frontier 384 --table e2.tbl --json scan.json
@@ -132,6 +132,11 @@ let write_scan_json ~path ~mode ~k ~max_n ~jobs ~budget ~outcome ~stop_reason
 let run () words rounds explain budget scan classes frontier max_n use_cache jobs
     stats table resume salvage checkpoint_s deadline_s inject_faults json trace
     metrics telemetry telemetry_interval flight =
+  (* a word pair is decided on one domain: its last round is closed-form,
+     so there is no work left to fan out *)
+  if jobs > 1 && frontier = None && scan = None && classes = None then
+    fail ~tag:"jobs" "--jobs fans out --scan, --frontier and --classes \
+                      only; a word pair is decided on one domain";
   arm_faults inject_faults;
   Rt.Signal.install ();
   (* telemetry sinks flush on every exit path via at_exit *)
@@ -155,8 +160,8 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
       in
       at_exit (fun () -> Obs.Telemetry.stop_publisher t)
   | None -> ());
-  (* a frontier scan is table-driven by definition; --jobs > 1 and
-     --table each imply --cache as well *)
+  (* a frontier scan is table-driven by definition; a scan's --jobs > 1
+     and --table each imply --cache as well *)
   let use_cache =
     use_cache || jobs > 1 || Option.is_some frontier || Option.is_some table
   in
@@ -387,11 +392,7 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
       match words with
       | [ w; v ] ->
           let cfg = Efgame.Game.make w v in
-          let verdict, s =
-            match (cache, jobs) with
-            | Some c, j when j > 1 -> Efgame.Parallel.decide ~budget ~jobs:j ~cache:c cfg rounds
-            | _ -> Efgame.Game.decide_with_stats ~budget ?cache cfg rounds
-          in
+          let verdict, s = Efgame.Game.decide_with_stats ~budget ?cache cfg rounds in
           Format.printf "%a %a_%d %a  (%d nodes, %d memo entries)@." pp_word w
             Efgame.Game.pp_verdict verdict rounds pp_word v s.Efgame.Game.nodes
             s.Efgame.Game.memo_entries;
@@ -1160,9 +1161,11 @@ let cache_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"J"
-       ~doc:"Fan the top-level Spoiler moves (or the scan's pair checks) out \
-             over J worker domains sharing one transposition table. Implies \
-             --cache when J > 1.")
+       ~doc:"Fan the pair checks of --scan, --frontier and --classes (or a \
+             shard's pairs) out over J worker domains sharing one \
+             transposition table. Implies --cache when J > 1. A word pair \
+             is decided on one domain: J > 1 with two words is a usage \
+             error.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]

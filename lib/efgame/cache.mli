@@ -3,8 +3,9 @@
 
     The table is {e lock-free for reads}: buckets are [Atomic] heads of
     immutable chains, writers publish with compare-and-set, and readers
-    never take a lock — exactly what the parallel solver needs for its
-    shared table (writes are rare once the table warms up).
+    never take a lock — exactly what the scheduler's worker domains need
+    when a parallel scan shares one table (writes are rare once the
+    table warms up).
 
     Entries are {e rounds-remaining-aware}. For a fixed position P the
     predicate "Duplicator wins k more rounds from P" is antitone in k, so

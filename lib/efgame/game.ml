@@ -144,7 +144,6 @@ type solver = {
   unary : (int * int) option; (* (p, q) of a unary instance *)
   packed : Packed.gstate Lazy.t; (* lazy: unary solvers never build it *)
   mutable nodes : int;
-  mutable memo_entries : int;
 }
 
 let solver ?(mode = Full) ?(budget = 50_000_000) ?cache cfg =
@@ -156,7 +155,6 @@ let solver ?(mode = Full) ?(budget = 50_000_000) ?cache cfg =
     unary = Option.map (fun (_, p, q) -> (p, q)) (unary_of cfg);
     packed = lazy (Packed.make_gstate cfg.left cfg.right cfg.consts);
     nodes = 0;
-    memo_entries = 0;
   }
 
 let width_of_mode = function Full -> max_int | Duplicator_limited n -> n
@@ -165,28 +163,24 @@ let width_of_mode = function Full -> max_int | Duplicator_limited n -> n
    handle's running node total. *)
 let search s pairs k =
   let width = width_of_mode s.mode in
-  let r, m =
-    match s.unary with
-    | Some (p, q) ->
-        let init =
-          List.map (fun (a, b) -> (String.length a, String.length b)) pairs
-        in
-        let r, n, m =
-          Unary.solve ?cache:s.cache ~limit:width ~budget:(s.budget - s.nodes)
-            ~p ~q ~init k
-        in
-        s.nodes <- s.nodes + n;
-        (r, m)
-    | None ->
-        let r, n, m =
-          Packed.run_general (Lazy.force s.packed) ~init:pairs ~width
-            ~nodes0:s.nodes ~budget:s.budget k
-        in
-        s.nodes <- n;
-        (r, m)
-  in
-  s.memo_entries <- s.memo_entries + m;
-  (r, m)
+  match s.unary with
+  | Some (p, q) ->
+      let init =
+        List.map (fun (a, b) -> (String.length a, String.length b)) pairs
+      in
+      let r, n, m =
+        Unary.solve ?cache:s.cache ~limit:width ~budget:(s.budget - s.nodes)
+          ~p ~q ~init k
+      in
+      s.nodes <- s.nodes + n;
+      (r, m)
+  | None ->
+      let r, n, m =
+        Packed.run_general (Lazy.force s.packed) ~init:pairs ~width
+          ~nodes0:s.nodes ~budget:s.budget k
+      in
+      s.nodes <- n;
+      (r, m)
 
 (* Validate the position, consult the shared table at the root (an exact
    verdict, or an Unknown recorded by a no-stronger search), else search
@@ -245,10 +239,6 @@ let cache_counts = function
   | Some c ->
       let st = Cache.stats c in
       (st.Cache.hits, st.Cache.misses)
-
-let solver_stats s =
-  let cache_hits, cache_misses = cache_counts s.cache in
-  { nodes = s.nodes; memo_entries = s.memo_entries; cache_hits; cache_misses }
 
 let spoiler_moves cfg = function
   | Left -> cfg.left_moves

@@ -77,10 +77,6 @@ val solver_wins : solver -> (string * string) list -> int -> verdict
     returned when the position itself is not a partial isomorphism, or
     names an element outside its structure. *)
 
-val solver_stats : solver -> stats
-(** Cumulative nodes and memo size of the handle; cache hit/miss counters
-    are those of the shared table, when one was supplied. *)
-
 val decide_with_stats :
   ?mode:mode -> ?budget:int -> ?cache:Cache.t -> config -> int -> verdict * stats
 (** [decide] with the search statistics; cache hits and misses are the
@@ -119,11 +115,6 @@ val derived_candidates :
 
 val structures : config -> Fc.Structure.t * Fc.Structure.t
 val constant_entries : config -> Partial_iso.entry list
-
-val spoiler_moves : config -> side -> string list
-(** The candidate Spoiler elements on one side (the universe minus the
-    constant values), longest first — the exact top-level move list of the
-    solver. Exposed for the parallel fan-out driver. *)
 
 val unary_of : config -> (char * int * int) option
 (** [Some (c, p, q)] when both words are nonempty powers of the same

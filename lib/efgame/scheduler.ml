@@ -131,6 +131,25 @@ let run_item t f w item ~failures =
       Obs.Metrics.vec_incr m_items w
   | exception e -> record_fault t item (failures + 1) e
 
+(* Run [worker 0 .. worker (jobs-1)]: jobs − 1 on fresh domains, worker 0
+   inline. A worker's escaping exception goes to [on_crash] on the
+   calling domain (at join time for spawned workers) instead of killing
+   the run; returns the number of crashed workers. *)
+let spawn_join ~jobs ~on_crash worker =
+  let guard w run =
+    match run () with
+    | () -> 0
+    | exception e ->
+        on_crash ~worker:w e;
+        1
+  in
+  let spawned =
+    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+  in
+  let inline = guard 0 (fun () -> worker 0) in
+  List.fold_left ( + ) inline
+    (List.mapi (fun i d -> guard (i + 1) (fun () -> Domain.join d)) spawned)
+
 let run ?tick ?stop t f =
   let should_stop =
     match stop with
@@ -192,7 +211,7 @@ let run ?tick ?stop t f =
       "worker %d crashed (%s); continuing on the remaining domains" w
       (Printexc.to_string e)
   in
-  ignore (Parallel.run_workers_supervised ~jobs:t.jobs ~on_crash (worker : int -> unit));
+  ignore (spawn_join ~jobs:t.jobs ~on_crash worker);
   (* Degraded drain: if crashes left unclaimed or requeued work behind
      (in the worst case every domain died), the calling domain finishes
      the space itself. Claim-path faults can crash this pass too, so it

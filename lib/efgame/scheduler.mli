@@ -5,10 +5,14 @@
     takes a 1/(2·jobs) share of the {e remaining} space, clamped to
     [\[min_chunk, max_chunk\]], so early chunks are large (few atomic
     operations) and the tail is fine-grained (stragglers cannot strand a
-    large chunk behind one slow item). This replaces barrier-style
-    [Parallel.map] rounds for scans whose items have wildly heterogeneous
-    cost: no worker ever waits at a row boundary while another finishes a
-    deep search.
+    large chunk behind one slow item). Scan items have wildly
+    heterogeneous cost; with one shared index no worker ever waits at a
+    row boundary while another finishes a deep search.
+
+    This is the only module that spawns domains: [jobs − 1]
+    worker domains plus worker 0 inline on the calling domain. The unit of
+    parallel work is a scan item (a word pair); a single [Game.decide]
+    always runs on one domain.
 
     The limit is {e shrinkable}: [shrink_limit t i] abandons every index
     ≥ i that has not started, at item granularity (in-flight chunks

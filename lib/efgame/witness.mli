@@ -5,7 +5,9 @@
     work-stealing {!Scheduler} — pair granularity, no per-q barrier — and
     under a [Cached]/[Parallel] engine they read and write the shared
     transposition table, so a table persisted by a previous run
-    ({!Persist}) makes a repeated or resumed scan incremental. *)
+    ({!Persist}) makes a repeated or resumed scan incremental. A pair is
+    the unit of parallel work: each pair is decided on one domain, and
+    [Parallel] spreads pairs, not moves, across domains. *)
 
 type engine =
   | Seed

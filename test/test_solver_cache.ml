@@ -59,21 +59,6 @@ let test_cached_agrees_on_reuse () =
         (Game.equiv w v k) second)
     instances
 
-let test_parallel_agrees_with_seed () =
-  List.iter
-    (fun jobs ->
-      let cache = Cache.create () in
-      List.iter
-        (fun (w, v, k) ->
-          let verdict_par, _ =
-            Parallel.decide ~jobs ~cache (Game.make w v) k
-          in
-          Alcotest.check verdict
-            (Printf.sprintf "jobs=%d %S vs %S @%d" jobs w v k)
-            (Game.equiv w v k) verdict_par)
-        instances)
-    [ 1; 2; 4 ]
-
 let test_witness_engines_agree () =
   List.iter
     (fun (k, max_n) ->
@@ -209,14 +194,13 @@ let arb_instance =
   in
   QCheck.make gen ~print:(fun (w, v, k) -> Printf.sprintf "(%S, %S, %d)" w v k)
 
-let prop_engines_agree =
-  QCheck.Test.make ~name:"cached and parallel verdicts equal the seed solver"
+let prop_cached_agrees =
+  QCheck.Test.make ~name:"cached verdicts equal the seed solver"
     ~count:120 arb_instance (fun (w, v, k) ->
       let seed = Game.equiv w v k in
       let cache = Cache.create () in
       let cached = Game.equiv ~cache w v k in
-      let par, _ = Parallel.decide ~jobs:2 ~cache:(Cache.create ()) (Game.make w v) k in
-      seed = cached && seed = par)
+      seed = cached)
 
 let prop_unary_fast_path =
   let gen = QCheck.Gen.(triple (1 -- 24) (1 -- 24) (0 -- 2)) in
@@ -239,7 +223,6 @@ let tests =
     [
       Alcotest.test_case "cached verdicts equal seed" `Quick test_cached_agrees_with_seed;
       Alcotest.test_case "warm table verdicts stable" `Quick test_cached_agrees_on_reuse;
-      Alcotest.test_case "parallel verdicts equal seed" `Quick test_parallel_agrees_with_seed;
       Alcotest.test_case "witness engines agree" `Quick test_witness_engines_agree;
       Alcotest.test_case "unary closed form agrees" `Quick test_unary_closed_form_agrees;
       Alcotest.test_case "rounds-aware lookup" `Quick test_rounds_aware_lookup;
@@ -248,6 +231,6 @@ let tests =
       Alcotest.test_case "limited mode cache soundness" `Quick test_limited_mode_cache_soundness;
       Alcotest.test_case "canonical position keys" `Quick test_canonical_keys;
       Alcotest.test_case "hit/miss counters" `Quick test_cache_counters;
-      QCheck_alcotest.to_alcotest prop_engines_agree;
+      QCheck_alcotest.to_alcotest prop_cached_agrees;
       QCheck_alcotest.to_alcotest prop_unary_fast_path;
     ] )
