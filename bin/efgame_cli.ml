@@ -634,7 +634,7 @@ let write_worker_json ~path ~dir ~wall_s (s : Dist.Worker.summary) =
   let module J = Obs.Jsonw in
   J.to_file path (fun w ->
       J.obj w (fun w ->
-          J.field_string w "schema" "efgame-shard-worker/1";
+          J.field_string w "schema" "efgame-shard-worker/2";
           J.field_string w "dir" dir;
           J.field_float w "wall_s" wall_s;
           J.field_int w "completed" s.completed;
@@ -644,14 +644,12 @@ let write_worker_json ~path ~dir ~wall_s (s : Dist.Worker.summary) =
           J.field_int w "requeued" s.requeued;
           J.field_int w "quarantined" s.quarantined;
           J.field_int w "pairs" s.pairs;
-          J.field_int w "speculated" s.speculated;
-          J.field_int w "spec_wins" s.spec_wins;
           J.field_int w "deduped" s.deduped;
           J.field w "faults" (fun w ->
               if Rt.Fault.enabled () then Rt.Fault.write_json w else J.null w)))
 
 let shard_work () dir ttl jobs budget attempts max_requeues deadline_s
-    inject_faults chaos speculate throttle json metrics heartbeat flight =
+    inject_faults chaos json metrics heartbeat flight =
   (match Dist.Store.setup ?spec:chaos () with
   | Ok () ->
       let st = Dist.Store.active () in
@@ -678,8 +676,6 @@ let shard_work () dir ttl jobs budget attempts max_requeues deadline_s
       deadline;
       heartbeat;
       flight;
-      speculate;
-      throttle;
     }
   in
   let t0 = Unix.gettimeofday () in
@@ -693,10 +689,8 @@ let shard_work () dir ttl jobs budget attempts max_requeues deadline_s
         s.Dist.Worker.completed s.Dist.Worker.claimed s.Dist.Worker.reclaimed
         s.Dist.Worker.abandoned s.Dist.Worker.requeued
         s.Dist.Worker.quarantined s.Dist.Worker.pairs wall_s;
-      if s.Dist.Worker.speculated > 0 || s.Dist.Worker.deduped > 0 then
-        Format.printf
-          "worker: %d speculation(s), %d win(s), %d duplicate(s) discarded@."
-          s.Dist.Worker.speculated s.Dist.Worker.spec_wins
+      if s.Dist.Worker.deduped > 0 then
+        Format.printf "worker: %d duplicate(s) discarded@."
           s.Dist.Worker.deduped;
       Option.iter (fun path -> write_worker_json ~path ~dir ~wall_s s) json;
       (match Rt.Signal.pending () with
@@ -1029,7 +1023,7 @@ let shard_run () dir out workers ttl rounds budget jobs phase_deadline_s json =
         let argv =
           Array.of_list
             ([ exe; "shard"; "work"; dir; "--ttl"; Printf.sprintf "%g" ttl;
-               "--heartbeat-every"; "0.5"; "--speculate"; "-q" ]
+               "--heartbeat-every"; "0.5"; "-q" ]
             @ (match budget with
               | Some b -> [ "--budget"; string_of_int b ]
               | None -> [])
@@ -1459,21 +1453,6 @@ let shard_work_cmd =
                publisher entirely. Distinct from --ttl, which governs the \
                per-shard lease files.")
   in
-  let speculate =
-    Arg.(value & flag & info [ "speculate" ]
-         ~doc:"When idle (nothing claimable, work still leased), \
-               speculatively re-execute straggler-held shards under their \
-               secondary lease and race the holder to the completion \
-               record. First record wins; the loser's duplicate is \
-               discarded by content hash. Sound — double execution of a \
-               deterministic scan under a monotone merge is idempotent.")
-  in
-  let throttle =
-    Arg.(value & opt (some float) None & info [ "throttle" ] ~docv:"R"
-         ~doc:"Cap this worker's scan rate at $(docv) pairs/s — a chaos \
-               hook for manufacturing stragglers deterministically in \
-               the torture test. Never set this in a real deployment.")
-  in
   Cmd.v
     (Cmd.info "work"
        ~doc:"Claim and scan shards until every shard in DIR is done or \
@@ -1486,8 +1465,7 @@ let shard_work_cmd =
              quarantined a shard.")
     Term.(const shard_work $ common $ shard_dir_arg $ ttl_arg $ jobs_arg $ budget
           $ attempts $ max_requeues $ deadline_arg $ faults_arg $ chaos_arg
-          $ speculate $ throttle $ json_arg $ metrics_arg $ heartbeat
-          $ flight_arg)
+          $ json_arg $ metrics_arg $ heartbeat $ flight_arg)
 
 let shard_status_cmd =
   Cmd.v
@@ -1626,10 +1604,10 @@ let shard_run_cmd =
        ~doc:"The one-command convergence controller: drive an initialized \
              DIR from claim to stamped proven bound with zero manual \
              steps. Each round is a work phase — an elastic fleet of \
-             speculating workers, respawned on death, until nothing is \
-             pending or leased — then a heal phase over whatever got \
-             quarantined, then a merge of every certified shard into \
-             OUT; a shard the merge quarantines is healed next round. \
+             workers, respawned on death, until nothing is pending or \
+             leased — then a heal phase over whatever got quarantined, \
+             then a merge of every certified shard into OUT; a shard \
+             the merge quarantines is healed next round. \
              Exits 0 when the fleet converged and the proven bound was \
              stamped, 1 on partial convergence (irreducible poison or an \
              incomplete merge), 2 on usage or infrastructure failure.")

@@ -197,8 +197,7 @@ let heal ~cfg m (s : Manifest.shard) =
             let certify =
               Worker.certify ~replace:true ~dir:cfg.dir ~fsync:cfg.fsync
                 ~owner:(Lease.default_owner ()) ~id ~cache:into ~outcome
-                ~table:(Manifest.table_path cfg.dir id) ~table_name:None
-                ~wall_ns
+                ~table:(Manifest.table_path cfg.dir id) ~wall_ns
             in
             match Rt.Backoff.retry certify with
             | Error msg -> Error msg
@@ -210,8 +209,6 @@ let heal ~cfg m (s : Manifest.shard) =
                 let del p = ignore (st.Store.delete p) in
                 del (Manifest.quarantine_path cfg.dir id);
                 del (Manifest.retries_path cfg.dir id);
-                del (Manifest.spec_table_path cfg.dir id);
-                del (Manifest.spec_lease_path cfg.dir id);
                 Obs.Metrics.incr m_healed;
                 Obs.Log.info ~tag:"dist"
                   "shard %d healed: %d entries re-certified in %d window(s)"

@@ -53,8 +53,7 @@ val heal :
     string )
   result
 (** Heal one shard. [`Healed]: quarantine cleared, table re-certified
-    under a replaced record, retry counter and speculative leftovers
-    deleted. [`Poisoned]: the listed sub-windows are irreducible (one
+    under a replaced record, retry counter deleted. [`Poisoned]: the listed sub-windows are irreducible (one
     pair, still failing at escalated budget); the quarantine reason is
     rewritten to name exactly them. [Error]: the shard is not
     quarantined, the deadline expired, or the store refused the

@@ -37,8 +37,6 @@ type stats = {
   (* model-cost units completed, truncated to an int (atomics over
      floats would box); 0 when the manifest's model is Uniform *)
   cost_done : int Atomic.t;
-  speculated : int Atomic.t;  (** speculative re-executions started *)
-  spec_wins : int Atomic.t;  (** speculative records that landed first *)
 }
 
 let make_stats ~owner =
@@ -59,8 +57,6 @@ let make_stats ~owner =
     current_shard = Atomic.make (-1);
     last_checkpoint_s = Atomic.make 0;
     cost_done = Atomic.make 0;
-    speculated = Atomic.make 0;
-    spec_wins = Atomic.make 0;
   }
 
 (* The published view: what a snapshot file contains, and what the
@@ -88,8 +84,6 @@ type view = {
   v_current_shard : int option;
   v_last_checkpoint : float option;
   v_cost_done : int;
-  v_speculated : int;
-  v_spec_wins : int;
 }
 
 let uptime v = v.v_now -. v.v_started
@@ -151,8 +145,6 @@ let view_of_stats ?now ~seq s =
       | 0 -> None
       | t -> Some (float_of_int t));
     v_cost_done = Atomic.get s.cost_done;
-    v_speculated = Atomic.get s.speculated;
-    v_spec_wins = Atomic.get s.spec_wins;
   }
 
 let write_view v w =
@@ -179,11 +171,10 @@ let write_view v w =
       J.field_float ~prec:4 w "cache_hit_rate" (cache_hit_rate v);
       J.field_int w "faults" v.v_faults;
       J.field_int w "retries" v.v_retries;
-      (* additive since the schema's first cut: readers default them to
-         0, so old and new heartbeats interoperate in one directory *)
+      (* additive since the schema's first cut: readers default it to
+         0 and ignore counters they do not know, so old and new
+         heartbeats interoperate in one directory *)
       J.field_int w "cost_done" v.v_cost_done;
-      J.field_int w "speculated" v.v_speculated;
-      J.field_int w "spec_wins" v.v_spec_wins;
       (match v.v_current_shard with
       | Some id -> J.field_int w "current_shard" id
       | None -> J.field_null w "current_shard");
@@ -264,8 +255,6 @@ let of_json j =
           v_current_shard = opt_shard j;
           v_last_checkpoint = R.mem_float "last_checkpoint_s" j;
           v_cost_done = i "cost_done";
-          v_speculated = i "speculated";
-          v_spec_wins = i "spec_wins";
         }
   | Some s, _, _, _, _, _ when s <> schema ->
       Error (Printf.sprintf "unsupported heartbeat schema %S" s)

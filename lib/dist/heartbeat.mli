@@ -36,8 +36,6 @@ type stats = {
   last_checkpoint_s : int Atomic.t;
   cost_done : int Atomic.t;
       (** model-cost units completed, truncated (0 under Uniform) *)
-  speculated : int Atomic.t;  (** speculative re-executions started *)
-  spec_wins : int Atomic.t;  (** speculative records that landed first *)
 }
 
 val make_stats : owner:string -> stats
@@ -65,8 +63,6 @@ type view = {
   v_current_shard : int option;
   v_last_checkpoint : float option;
   v_cost_done : int;  (** additive field — readers default it to 0 *)
-  v_speculated : int;
-  v_spec_wins : int;
 }
 
 val view_of_stats : ?now:float -> seq:int -> stats -> view
@@ -91,6 +87,9 @@ val publish : dir:string -> view -> unit
 (** {1 Reading} *)
 
 val of_json : Obs.Jsonr.t -> (view, string) result
+(** Missing counters read as 0 and unknown fields are ignored, so
+    snapshots from older and newer writers of the same schema load. *)
+
 val load : string -> (view, string) result
 
 type observed = { ob_view : view; ob_mtime : float option }

@@ -50,15 +50,6 @@ let done_path dir id = shard_base dir id ^ ".done"
 let retries_path dir id = shard_base dir id ^ ".retries"
 let quarantine_path dir id = shard_base dir id ^ ".quarantine"
 
-(* Speculative re-execution (see {!Worker}) runs under a secondary
-   lease and writes its table to a distinct file, so a speculator and
-   the primary holder never race on the same bytes — only on the
-   completion record, whose exclusive create is the single winner
-   point. *)
-let spec_lease_path dir id = shard_base dir id ^ ".spec.lease"
-let spec_table_path dir id = shard_base dir id ^ ".spec.tbl"
-let spec_table_name id = Printf.sprintf "shard-%04d.spec.tbl" id
-
 let fnv1a64 s =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in

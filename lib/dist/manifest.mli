@@ -67,20 +67,6 @@ val done_path : string -> int -> string
 val retries_path : string -> int -> string
 val quarantine_path : string -> int -> string
 
-val spec_lease_path : string -> int -> string
-(** The {e secondary} lease a speculating worker claims before
-    re-executing a straggler-held shard (see {!Worker}): at most one
-    speculator per shard, never contending with the primary lease. *)
-
-val spec_table_path : string -> int -> string
-(** Where a speculator writes its table — distinct from
-    {!table_path}, so primary and speculator never race on table
-    bytes; the completion record names which file it certifies. *)
-
-val spec_table_name : int -> string
-(** Basename of {!spec_table_path}, as stored in a record's [table]
-    field. *)
-
 (** {1 Cross-worker retry counter and quarantine records} *)
 
 val retries : string -> int -> int

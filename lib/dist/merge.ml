@@ -75,9 +75,9 @@ let merge_shard ~dir ~owner ~salvage_threshold ~into (s : Manifest.shard) =
       with
       | Error msg -> quarantine ~dir ~owner id ("completion record: " ^ msg)
       | Ok record -> (
-          (* the record names which table it certifies (a speculator's
-             .spec.tbl, or the shard's default); the read already
-             rejected path-like references *)
+          (* the record names which table it certifies (the shard's
+             default, or the .spec.tbl an older speculating worker
+             wrote); the read already rejected path-like references *)
           let table = Record.table_file ~dir record in
           match
             Rt.Backoff.retry ~attempts:4 ~base_s:0.02 ~max_s:0.25 (fun () ->

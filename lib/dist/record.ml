@@ -5,12 +5,11 @@
    damaged after certification (the record and the table are two files;
    the checksum ties them together).
 
-   With speculative re-execution (see {!Worker}) a shard can have two
-   racing certifiers — the primary lease holder and a speculator — so
-   the record write is an {e exclusive create}: of N racers exactly one
-   record lands, and that record names (in its [table] field) which
-   table file it certifies, so a record can never certify bytes its
-   loser wrote. The loser reads the winner's record back and discards
+   A shard can have two racing certifiers — a slow original holder and
+   the worker that reclaimed its stale lease — so the record write is
+   an {e exclusive create}: of N racers exactly one record lands, and
+   that record names (in its [table] field) which table file it
+   certifies. The loser reads the winner's record back and discards
    its own output — by content hash the two tables are identical anyway
    (deterministic scans), which the loser verifies and logs. [replace]
    is for {!Heal}, which re-certifies a repaired shard under a
@@ -28,7 +27,8 @@ type t = {
   table_fnv : int64;  (** FNV-1a64 of the table file's bytes *)
   table : string option;
       (** basename of the certified table when it is not the shard's
-          default [shard-NNNN.tbl] (a speculator's [.spec.tbl]) *)
+          default [shard-NNNN.tbl] — only records left by older
+          speculating workers, naming a [.spec.tbl] *)
   wall_ns : int64 option;  (** wall time the certifying scan took *)
 }
 

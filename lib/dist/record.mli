@@ -5,13 +5,13 @@
     state (a table replaced or damaged after certification is detected
     at merge time).
 
-    The exclusive create is the winner point of speculative
-    re-execution (see {!Worker}): of N racing certifiers exactly one
-    record lands, naming its own table file, so a record can never
-    certify bytes another racer wrote. Losers dedup by content hash —
-    deterministic scans make the duplicate byte-identical, and the
-    monotone merge makes even a divergent duplicate harmless to
-    discard (DESIGN.md decision 10). *)
+    A shard can have two racing certifiers: a slow original holder and
+    the worker that reclaimed its stale lease (see {!Worker}). The
+    exclusive create is the winner point: of N racers exactly one
+    record lands, naming the table file it certifies. Losers dedup by
+    content hash — deterministic scans make the duplicate
+    byte-identical, and the monotone merge makes even a divergent
+    duplicate harmless to discard (DESIGN.md decision 10). *)
 
 type outcome =
   | Exhausted  (** every pair in the window refuted *)
@@ -25,8 +25,10 @@ type t = {
   table_fnv : int64;  (** FNV-1a64 of the table file's bytes *)
   table : string option;
       (** basename of the certified table when it is not the shard's
-          default [shard-NNNN.tbl] (a speculator's [.spec.tbl]);
-          validated on read to be a bare basename *)
+          default [shard-NNNN.tbl]; validated on read to be a bare
+          basename. Current workers always write [None]; records left
+          by older speculating workers name a [shard-NNNN.spec.tbl] and
+          still read and merge. *)
   wall_ns : int64 option;
       (** wall time of the certifying scan — the calibration input for
           {!Cost.calibrate} *)

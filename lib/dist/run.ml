@@ -1,7 +1,7 @@
 (* The self-healing convergence controller behind [shard run]: rounds
-   of work phase — real worker processes (speculation armed by the
-   caller's [spawn]), respawned on death until nothing is Pending or
-   Leased — then heal phase, then merge. A shard the merge quarantines
+   of work phase — real worker processes started by the caller's
+   [spawn], respawned on death until nothing is Pending or Leased —
+   then heal phase, then merge. A shard the merge quarantines
    (torn-record debris after a SIGKILL, a store that lied about a
    write) is simply the next round's heal: there is no second loop. A
    round that moved nothing forward ends the run (irreducible poison or

@@ -22,9 +22,6 @@ type worker_row = {
   rate : float;  (** pairs/s over the worker's uptime *)
   cost_rate : float;  (** model-cost units/s (0 under Uniform) *)
   share : float;  (** of the fleet's pairs; 0 when the fleet is at 0 *)
-  straggler : bool;
-      (** holding a shard at a progress rate far below the fleet's
-          robust median — a speculation candidate, not an error *)
 }
 
 type t = {
@@ -54,36 +51,10 @@ type t = {
   remaining_cost : float;  (** Σ over Pending/Leased shards *)
   eta_s : float option;  (** remaining work / fleet rate; None at 0 *)
   eta_basis : string;  (** ["cost"] or ["pairs"] — what the ETA divides *)
-  stragglers : int list;  (** shard ids held at a straggling rate *)
 }
 
 let default_stale_after = 10.
 let default_skew_margin = 2.0
-
-(* Robust straggler cut: median and MAD tolerate the skewed rate
-   distributions a heterogeneous fleet produces (one slow box, one
-   throttled container) where a mean/stddev cut would either miss the
-   straggler or flag half the fleet. A worker is a straggler when its
-   progress rate falls below the fleet median by more than
-   max(3 sigma-equivalents of MAD, 25% of the median) — the floor keeps
-   a near-uniform fleet (MAD ~ 0) from flagging harmless jitter. *)
-let median = function
-  | [] -> 0.
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-let straggler_cut rates =
-  match rates with
-  | _ when List.length rates < 3 -> None  (* no meaningful median *)
-  | rates ->
-      let med = median rates in
-      if med <= 0. then None
-      else
-        let mad = median (List.map (fun r -> Float.abs (r -. med)) rates) in
-        Some (med -. Float.max (3. *. 1.4826 *. mad) (0.25 *. med))
 
 let aggregate ~now ?(stale_after = default_stale_after)
     ?(skew_margin = default_skew_margin) ?(model = Cost.Uniform)
@@ -98,7 +69,7 @@ let aggregate ~now ?(stale_after = default_stale_after)
   let views = List.map (fun o -> o.Heartbeat.ob_view) observed in
   let sum f = List.fold_left (fun acc v -> acc + f v) 0 views in
   let fleet_pairs = sum (fun v -> v.Heartbeat.v_pairs) in
-  let base =
+  let workers =
     List.map
       (fun (o : Heartbeat.observed) ->
         let v = o.Heartbeat.ob_view in
@@ -136,45 +107,8 @@ let aggregate ~now ?(stale_after = default_stale_after)
             (if fleet_pairs = 0 then 0.
              else
                float_of_int v.Heartbeat.v_pairs /. float_of_int fleet_pairs);
-          straggler = false;
         })
       observed
-  in
-  (* Straggler detection runs over the fresh workers currently holding
-     a shard (an idle worker progresses at 0 legitimately). With
-     cost-model windows the pair rates of healthy workers legitimately
-     diverge (deep-q windows hold fewer, costlier pairs), so the
-     detector compares model-cost rates whenever the model prices work
-     unevenly — skew tolerance comes from the MAD cut, not the unit. *)
-  let detection_rate (r : worker_row) =
-    match model with Cost.Uniform -> r.rate | Cost.Power _ -> r.cost_rate
-  in
-  let holding =
-    List.filter
-      (fun r -> r.fresh && r.hb.Heartbeat.v_current_shard <> None)
-      base
-  in
-  let cut = straggler_cut (List.map detection_rate holding) in
-  let workers =
-    List.map
-      (fun r ->
-        let straggler =
-          match cut with
-          | Some threshold ->
-              r.fresh
-              && r.hb.Heartbeat.v_current_shard <> None
-              && detection_rate r < threshold
-          | None -> false
-        in
-        { r with straggler })
-      base
-  in
-  let stragglers =
-    List.filter_map
-      (fun r ->
-        if r.straggler then r.hb.Heartbeat.v_current_shard else None)
-      workers
-    |> List.sort_uniq compare
   in
   let rate =
     List.fold_left
@@ -249,7 +183,6 @@ let aggregate ~now ?(stale_after = default_stale_after)
       (if model <> Cost.Uniform && remaining_cost > 0. && cost_rate_sum > 0.
        then "cost"
        else "pairs");
-    stragglers;
   }
 
 (* ----------------------------------------------------------- output *)
@@ -257,9 +190,10 @@ let aggregate ~now ?(stale_after = default_stale_after)
 let write_json ?(warnings = []) t w =
   let module J = Obs.Jsonw in
   J.obj w (fun w ->
-      (* /2 added cost-model totals, the ETA basis, and straggler
-         flags; every /1 field is unchanged *)
-      J.field_string w "schema" "efgame-top/2";
+      (* /2 added cost-model totals and the ETA basis; /3 removed the
+         /2 fields that flagged slow shard holders. Every /1 field is
+         unchanged *)
+      J.field_string w "schema" "efgame-top/3";
       J.field_float ~prec:6 w "now_s" t.now;
       J.field w "fleet" (fun w ->
           J.obj w (fun w ->
@@ -272,7 +206,6 @@ let write_json ?(warnings = []) t w =
               | Some eta -> J.field_float ~prec:1 w "eta_s" eta
               | None -> J.field_null w "eta_s");
               J.field_string w "eta_basis" t.eta_basis;
-              J.field_int w "stragglers" (List.length t.stragglers);
               J.field_int w "completed" t.fleet_completed;
               J.field_int w "claimed" t.fleet_claimed;
               J.field_int w "reclaimed" t.fleet_reclaimed;
@@ -294,9 +227,7 @@ let write_json ?(warnings = []) t w =
               J.field_int w "remaining_pairs" t.remaining_pairs;
               J.field_float ~prec:1 w "total_cost" t.total_cost;
               J.field_float ~prec:1 w "done_cost" t.done_cost;
-              J.field_float ~prec:1 w "remaining_cost" t.remaining_cost;
-              J.field w "stragglers" (fun w ->
-                  J.arr w (fun w -> List.iter (J.int w) t.stragglers))));
+              J.field_float ~prec:1 w "remaining_cost" t.remaining_cost));
       J.field w "workers" (fun w ->
           J.arr w (fun w ->
               List.iter
@@ -315,9 +246,6 @@ let write_json ?(warnings = []) t w =
                       J.field_int w "pairs" v.Heartbeat.v_pairs;
                       J.field_float ~prec:2 w "pairs_per_s" r.rate;
                       J.field_float ~prec:2 w "cost_per_s" r.cost_rate;
-                      J.field_bool w "straggler" r.straggler;
-                      J.field_int w "speculated" v.Heartbeat.v_speculated;
-                      J.field_int w "spec_wins" v.Heartbeat.v_spec_wins;
                       J.field_float ~prec:4 w "share" r.share;
                       J.field_int w "completed" v.Heartbeat.v_completed;
                       J.field_int w "requeued" v.Heartbeat.v_requeued;
@@ -359,11 +287,6 @@ let render ?(warnings = []) t =
     Format.fprintf ppf
       "events: %d reclaimed, %d requeued, %d abandoned, %d faults@."
       t.fleet_reclaimed t.fleet_requeued t.fleet_abandoned t.fleet_faults;
-  (match t.stragglers with
-  | [] -> ()
-  | ids ->
-      Format.fprintf ppf "stragglers: shard(s) %s@."
-        (String.concat ", " (List.map string_of_int ids)));
   Format.fprintf ppf
     "@[<v>%-34s %6s %9s %6s %6s %7s %6s %8s@]@." "owner" "age" "pairs"
     "rate" "share" "hit%" "shard" "ckpt-age";
@@ -379,11 +302,10 @@ let render ?(warnings = []) t =
         (match Heartbeat.checkpoint_age v with
         | Some age -> Printf.sprintf "%.0fs" (age +. r.age)
         | None -> "-")
-        ((match (r.fresh, r.skewed, r.skew_s) with
-         | false, _, _ -> "  [stale]"
-         | true, true, Some s -> Printf.sprintf "  [skew %+.1fs]" s
-         | true, _, _ -> "")
-        ^ if r.straggler then "  [straggler]" else ""))
+        (match (r.fresh, r.skewed, r.skew_s) with
+        | false, _, _ -> "  [stale]"
+        | true, true, Some s -> Printf.sprintf "  [skew %+.1fs]" s
+        | true, _, _ -> ""))
     t.workers;
   List.iter (fun wmsg -> Format.fprintf ppf "warning: %s@." wmsg) warnings;
   Format.pp_print_flush ppf ();

@@ -24,14 +24,6 @@ type worker_row = {
   rate : float;  (** pairs/s over the worker's uptime *)
   cost_rate : float;  (** model-cost units/s (0 under Uniform) *)
   share : float;  (** of fleet pairs; 0 when the fleet is at 0 *)
-  straggler : bool;
-      (** fresh, holding a shard, and progressing at a rate below the
-          fleet's robust median by more than
-          [max(3 MAD-sigmas, 25% of median)] — needs at least three
-          fresh shard-holding workers, so a two-worker fleet where one
-          is simply slower is never flagged. Cost rates are compared
-          under a [Power] model (pair rates legitimately diverge when
-          windows are equal-cost), pair rates under [Uniform]. *)
 }
 
 type t = {
@@ -64,9 +56,6 @@ type t = {
           model prices work unevenly and workers report cost progress;
           else [remaining_pairs / rate]; [None] when either is 0 *)
   eta_basis : string;  (** ["cost"] or ["pairs"] *)
-  stragglers : int list;
-      (** shard ids currently held by straggling workers — the
-          speculation candidates, sorted and deduplicated *)
 }
 
 val default_stale_after : float
@@ -86,13 +75,11 @@ val aggregate :
   Heartbeat.observed list ->
   t
 (** [model] (default [Uniform]) prices the outstanding windows for the
-    cost-based ETA and switches straggler detection to cost rates;
-    pass the manifest's model. *)
+    cost-based ETA; pass the manifest's model. *)
 
 val write_json : ?warnings:string list -> t -> Obs.Jsonw.t -> unit
-(** The [efgame-top/2] document: [fleet] (sums + rate + ETA + basis),
-    [shards] (counts, pair and cost totals, straggler ids), per-worker
-    rows (with [straggler] flags and speculation counters), and the
+(** The [efgame-top/3] document: [fleet] (sums + rate + ETA + basis),
+    [shards] (counts, pair and cost totals), per-worker rows, and the
     skip warnings. Every [efgame-top/1] field is carried unchanged. *)
 
 val render : ?warnings:string list -> t -> string

@@ -22,22 +22,18 @@
      that point is harmless — shard scans are deterministic and the
      merge is monotone (see DESIGN.md).
 
-   Speculative re-execution (DESIGN.md decision 10) rides on the same
-   soundness argument: a worker that has nothing claimable but sees a
-   fresh holder straggling far below the fleet's robust median rate
-   claims the shard's *secondary* lease, re-solves the window into a
-   separate [.spec.tbl], and races the straggler to the completion
-   record. The record's exclusive create is the single winner point;
-   the loser reads the winner's record back, checks the content hashes
-   agree (deterministic scans make the duplicate byte-identical), and
-   discards its own output. *)
+   A stuck shard is rescued only by lease expiry: a hung holder stops
+   renewing, and the next idle sweep reclaims its shard. A slow
+   original holder can still race its reclaimer to the completion
+   record (DESIGN.md decision 10). The record's exclusive create is the
+   single winner point; the loser reads the winner's record back,
+   checks the content hashes agree (deterministic scans make the
+   duplicate byte-identical), and discards its own output. *)
 
 let m_completed = Obs.Metrics.counter "dist.shards_completed"
 let m_abandoned = Obs.Metrics.counter "dist.shards_abandoned"
 let m_requeued = Obs.Metrics.counter "dist.shards_requeued"
 let m_quarantined = Obs.Metrics.counter "dist.shards_quarantined"
-let m_speculated = Obs.Metrics.counter "dist.shards_speculated"
-let m_spec_wins = Obs.Metrics.counter "dist.speculation_wins"
 let m_deduped = Obs.Metrics.counter "dist.records_deduped"
 
 let fp_claim = Rt.Fault.point "dist.claim"
@@ -55,10 +51,6 @@ type config = {
   store_depth : int;
   heartbeat : float;  (** snapshot publish interval; <= 0 disables *)
   flight : string option;  (** dump the flight ring here on every tick *)
-  speculate : bool;  (** re-execute straggler-held shards when idle *)
-  throttle : float option;
-      (** cap the scan rate at this many pairs/s — a chaos-test hook
-          for manufacturing stragglers, never set in production *)
 }
 
 let default_config ~dir =
@@ -74,8 +66,6 @@ let default_config ~dir =
     store_depth = 0;
     heartbeat = 2.;
     flight = None;
-    speculate = false;
-    throttle = None;
   }
 
 type summary = {
@@ -86,8 +76,7 @@ type summary = {
   requeued : int;
   quarantined : int;
   pairs : int;  (** pair verdicts computed across all shard scans *)
-  speculated : int;  (** speculative re-executions started *)
-  spec_wins : int;  (** speculative records that landed first *)
+  speculated : int;  (** always 0: the worker no longer speculates *)
   deduped : int;  (** own outputs discarded after losing a record race *)
 }
 
@@ -101,7 +90,6 @@ let zero_summary =
     quarantined = 0;
     pairs = 0;
     speculated = 0;
-    spec_wins = 0;
     deduped = 0;
   }
 
@@ -117,7 +105,7 @@ let remove_quiet path = ignore ((Store.active ()).Store.delete path)
    could never turn that into a win. [replace] is the heal's sanctioned
    record overwrite (see {!Record.write}). *)
 let certify ?(replace = false) ?(on_fault = ignore) ~dir ~fsync ~owner ~id
-    ~cache ~outcome ~table ~table_name ~wall_ns () =
+    ~cache ~outcome ~table ~wall_ns () =
   match
     Rt.Fault.fire fp_certify;
     Efgame.Persist.save ~fsync cache table
@@ -146,7 +134,7 @@ let certify ?(replace = false) ?(on_fault = ignore) ~dir ~fsync ~owner ~id
                   outcome;
                   entries = written;
                   table_fnv = fnv;
-                  table = table_name;
+                  table = None;
                   wall_ns = Some wall_ns;
                 }
               in
@@ -164,7 +152,7 @@ let certify ?(replace = false) ?(on_fault = ignore) ~dir ~fsync ~owner ~id
 (* Retried in-lease; each retry renews the heartbeat first so slow I/O
    can't cost us the lease while we back off. *)
 let certify_with_retries ~cfg ~owner ~hb ~shard ~lease ~cache ~table
-    ~table_name ~wall_ns outcome =
+    ~wall_ns outcome =
   Rt.Backoff.retry ~attempts:cfg.attempts
     ~on_retry:(fun ~attempt ~delay:_ ->
       Atomic.incr hb.Heartbeat.retries;
@@ -177,8 +165,7 @@ let certify_with_retries ~cfg ~owner ~hb ~shard ~lease ~cache ~table
       ignore (Lease.renew lease))
     (certify ~dir:cfg.dir ~fsync:cfg.fsync
        ~on_fault:(fun () -> Atomic.incr hb.Heartbeat.faults)
-       ~owner ~id:shard.Manifest.id ~cache ~outcome ~table ~table_name
-       ~wall_ns)
+       ~owner ~id:shard.Manifest.id ~cache ~outcome ~table ~wall_ns)
 
 (* A racer that lost the completion record discards its own table:
    deterministic scans mean the winner certified the same verdicts, so
@@ -194,7 +181,7 @@ let certify_with_retries ~cfg ~owner ~hb ~shard ~lease ~cache ~table
    holder writes — and deleting on a guess destroys a certified table.
    A stray uncertified table is harmless; the merge reads only files a
    record's checksum vouches for. *)
-let discard_duplicate ~cfg ~hb id ~our_table ~our_fnv winner =
+let discard_duplicate ~cfg id ~our_table ~our_fnv winner =
   Obs.Metrics.incr m_deduped;
   (match winner with
   | Some w when w.Record.table_fnv = our_fnv ->
@@ -215,8 +202,7 @@ let discard_duplicate ~cfg ~hb id ~our_table ~our_fnv winner =
   (match winner with
   | Some w when Record.table_file ~dir:cfg.dir w <> our_table ->
       remove_quiet our_table
-  | Some _ | None -> ());
-  ignore hb
+  | Some _ | None -> ())
 
 (* Scan one claimed shard's window. Returns the warmed cache on success
    so certification writes exactly what was computed.
@@ -225,11 +211,11 @@ let discard_duplicate ~cfg ~hb id ~our_table ~our_fnv winner =
    callback (cumulative pairs, this shard's cache counters on top of
    the pre-shard base): the scan only ever stores into atomics here,
    and the telemetry thread turns them into a snapshot file at its own
-   pace. [abort] is polled at the lease-renew cadence: a speculator
-   passes "the shard's record exists", so a superseded speculation
-   stops burning cycles within a third of a TTL. *)
-let execute ~cfg ~stop ?(abort = fun () -> false) ~hb (lease : Lease.t)
-    shard m =
+   pace. The lease renewal also checks whether the shard's record
+   exists: a reclaimer may finish the shard under us after a lease
+   blip, and the scan then stops burning cycles within a third of a
+   TTL. *)
+let execute ~cfg ~stop ~hb (lease : Lease.t) shard m =
   let open Manifest in
   let cache = Efgame.Cache.create () in
   let engine =
@@ -256,38 +242,14 @@ let execute ~cfg ~stop ?(abort = fun () -> false) ~hb (lease : Lease.t)
   let lost = ref false in
   let aborted = ref false in
   let last_renew = ref started in
-  let renew_if_due () =
+  let on_tick ~completed =
+    set_progress ~completed;
     let now = st.Store.now () in
     if now -. !last_renew > cfg.ttl /. 3. then begin
       (match Lease.renew lease with `Renewed -> () | `Lost -> lost := true);
-      if abort () then aborted := true;
+      if st.Store.exists (done_path cfg.dir shard.id) then aborted := true;
       last_renew := now
     end
-  in
-  let on_tick ~completed =
-    set_progress ~completed;
-    (* chaos-test-only rate cap: sleep off the whole surplus, in small
-       slices so the lease stays renewed and a landing record (a
-       speculator rescued this shard under us) aborts the crawl within a
-       renewal interval instead of at the end of the nap *)
-    (match cfg.throttle with
-    | Some rate when rate > 0. ->
-        let ideal = started +. (float_of_int completed /. rate) in
-        let rec pace () =
-          let now = st.Store.now () in
-          if
-            now < ideal && (not !lost) && (not !aborted) && (not (stop ()))
-            && Rt.Signal.pending () = None
-            && not (Rt.Deadline.expired cfg.deadline)
-          then begin
-            Unix.sleepf (Float.min (ideal -. now) 0.2);
-            renew_if_due ();
-            pace ()
-          end
-        in
-        pace ()
-    | _ -> ());
-    renew_if_due ()
   in
   let stop () =
     !lost || !aborted || stop () || Rt.Deadline.expired cfg.deadline
@@ -339,7 +301,7 @@ let quarantine_shard ~cfg ~owner id reason =
 
 (* Failure paths land here: count a cross-worker retry and either
    re-enqueue or quarantine — unless a completion record already
-   exists, in which case the shard is Done (a speculator won it while
+   exists, in which case the shard is Done (a reclaimer won it while
    we were failing) and there is nothing to repair: a certified record
    must never be deleted on a loser's failure path.
 
@@ -407,13 +369,9 @@ let work_one ~cfg ~stop ~owner ~hb lease ~how shard m summary =
     Atomic.set hb.Heartbeat.current_shard (-1);
     r
   in
-  (* abort the primary scan too when a record lands: a speculator may
-     finish the shard under us, and every pair past that point is
-     wasted heat *)
-  let abort () = (Store.active ()).Store.exists (Manifest.done_path cfg.dir id) in
   finish
   @@
-  match execute ~cfg ~stop ~abort ~hb lease shard m with
+  match execute ~cfg ~stop ~hb lease shard m with
   | `Lost_lease pairs ->
       Obs.Metrics.incr m_abandoned;
       Atomic.incr hb.Heartbeat.abandoned;
@@ -428,7 +386,7 @@ let work_one ~cfg ~stop ~owner ~hb lease ~how shard m summary =
         } )
   | `Superseded pairs ->
       (* someone certified the shard while we were scanning it — a
-         speculator, or a reclaimer that beat us after a lease blip.
+         reclaimer that beat us after a lease blip.
          We never saved a table (that happens at certify), so the only
          file at our table path is a previous attempt's leftover or
          the winner's own certification: delete it only when the
@@ -477,7 +435,7 @@ let work_one ~cfg ~stop ~owner ~hb lease ~how shard m summary =
       let table = Manifest.table_path cfg.dir id in
       match
         certify_with_retries ~cfg ~owner ~hb ~shard ~lease ~cache ~table
-          ~table_name:None ~wall_ns outcome
+          ~wall_ns outcome
       with
       | Ok (`Certified written) ->
           Obs.Metrics.incr m_completed;
@@ -492,7 +450,7 @@ let work_one ~cfg ~stop ~owner ~hb lease ~how shard m summary =
           Lease.release lease;
           (`Continue, { summary with completed = summary.completed + 1 })
       | Ok (`Superseded (winner, fnv)) ->
-          discard_duplicate ~cfg ~hb id ~our_table:table ~our_fnv:fnv winner;
+          discard_duplicate ~cfg id ~our_table:table ~our_fnv:fnv winner;
           Lease.release lease;
           (`Continue, { summary with deduped = summary.deduped + 1 })
       | Error reason -> (
@@ -505,163 +463,6 @@ let work_one ~cfg ~stop ~owner ~hb lease ~how shard m summary =
           | `Requeued ->
               Atomic.incr hb.Heartbeat.requeued;
               (`Continue, { summary with requeued = summary.requeued + 1 })))
-
-(* ----------------------------------------------- speculation (idle) *)
-
-(* Run one speculative re-execution of a straggler-held shard under its
-   secondary lease. Strictly best-effort: any failure just releases the
-   spec lease and cleans up — requeue/quarantine decisions belong to
-   the primary path, and a speculator must never be able to poison a
-   shard its healthy-but-slow holder would have finished. *)
-let run_speculation ~cfg ~stop ~owner ~hb lease (s : Manifest.shard) m summary
-    =
-  let id = s.Manifest.id in
-  Obs.Metrics.incr m_speculated;
-  Atomic.incr hb.Heartbeat.speculated;
-  if Obs.Events.enabled () then
-    Obs.Events.record ~detail:(Printf.sprintf "shard %d" id) "speculate";
-  Obs.Log.info ~tag:"dist"
-    "speculatively re-executing straggler-held shard %d [%d, %d)" id
-    s.Manifest.lo s.Manifest.hi;
-  let summary = { summary with speculated = summary.speculated + 1 } in
-  Atomic.set hb.Heartbeat.current_shard id;
-  let finish r =
-    Atomic.set hb.Heartbeat.current_shard (-1);
-    r
-  in
-  let spec_table = Manifest.spec_table_path cfg.dir id in
-  let abort () =
-    let st = Store.active () in
-    st.Store.exists (Manifest.done_path cfg.dir id)
-    || st.Store.exists (Manifest.quarantine_path cfg.dir id)
-  in
-  finish
-  @@
-  match
-    (* the speculator must not inherit the throttle: it exists to
-       outrun the straggler *)
-    execute ~cfg:{ cfg with throttle = None } ~stop ~abort ~hb lease s m
-  with
-  | `Lost_lease pairs ->
-      remove_quiet spec_table;
-      (`Continue, { summary with pairs = summary.pairs + pairs })
-  | `Superseded pairs ->
-      (* the primary (or a heal) finished while we ran — mission
-         accomplished, just not by us *)
-      remove_quiet spec_table;
-      Lease.release lease;
-      (`Continue, { summary with pairs = summary.pairs + pairs })
-  | `Stopped pairs ->
-      remove_quiet spec_table;
-      Lease.release lease;
-      (`Stop, { summary with pairs = summary.pairs + pairs })
-  | `Undecidable (reason, pairs) | `Failed (reason, pairs) ->
-      Obs.Log.info ~tag:"dist" "speculation on shard %d dropped: %s" id reason;
-      remove_quiet spec_table;
-      Lease.release lease;
-      (`Continue, { summary with pairs = summary.pairs + pairs })
-  | `Scanned (cache, outcome, pairs, wall_ns) -> (
-      let summary = { summary with pairs = summary.pairs + pairs } in
-      match
-        certify_with_retries ~cfg ~owner ~hb ~shard:s ~lease ~cache
-          ~table:spec_table
-          ~table_name:(Some (Manifest.spec_table_name id))
-          ~wall_ns outcome
-      with
-      | Ok (`Certified written) ->
-          Obs.Metrics.incr m_completed;
-          Obs.Metrics.incr m_spec_wins;
-          Atomic.incr hb.Heartbeat.completed;
-          Atomic.incr hb.Heartbeat.spec_wins;
-          Atomic.set hb.Heartbeat.last_checkpoint_s
-            (int_of_float ((Store.active ()).Store.now ()));
-          Obs.Log.info ~tag:"dist"
-            "speculation won shard %d: %d entries certified ahead of the \
-             straggler" id written;
-          Lease.release lease;
-          ( `Continue,
-            {
-              summary with
-              completed = summary.completed + 1;
-              spec_wins = summary.spec_wins + 1;
-            } )
-      | Ok (`Superseded (winner, fnv)) ->
-          discard_duplicate ~cfg ~hb id ~our_table:spec_table ~our_fnv:fnv
-            winner;
-          Lease.release lease;
-          (`Continue, { summary with deduped = summary.deduped + 1 })
-      | Error reason ->
-          Obs.Log.info ~tag:"dist" "speculation on shard %d dropped: %s" id
-            reason;
-          remove_quiet spec_table;
-          Lease.release lease;
-          (`Continue, summary))
-
-(* Pick at most one straggler-held shard and speculate on it. The
-   candidate set comes from {!Top.aggregate} over the live heartbeats —
-   a shard qualifies only if it is Leased *fresh* (a stale lease is
-   reclaimed through the normal path, no speculation needed), held by
-   someone else, and its holder's progress rate is a robust-median
-   outlier. *)
-let speculate_one ~cfg ~stop ~owner ~hb m summary =
-  let st = Store.active () in
-  let observed, _ = Heartbeat.list ~dir:cfg.dir in
-  let states =
-    Array.to_list
-      (Array.map
-         (fun s -> (s, Manifest.state ~dir:cfg.dir ~ttl:cfg.ttl s))
-         m.Manifest.shards)
-  in
-  let t =
-    Top.aggregate ~now:(st.Store.now ()) ~model:m.Manifest.model ~states
-      observed
-  in
-  let candidate id =
-    match List.find_opt (fun (s, _) -> s.Manifest.id = id) states with
-    | Some (s, Manifest.Leased) -> (
-        match Lease.holder (Manifest.lease_path cfg.dir id) with
-        | Some (holder, _) when holder <> owner -> Some s
-        | _ -> None)
-    | _ -> None
-  in
-  let rec try_ids = function
-    | [] -> (`Continue, summary, false)
-    | id :: rest -> (
-        match candidate id with
-        | None -> try_ids rest
-        | Some s -> (
-            match
-              Lease.try_claim ~ttl:cfg.ttl ~owner
-                (Manifest.spec_lease_path cfg.dir id)
-            with
-            | `Held -> try_ids rest
-            | `Claimed lease | `Reclaimed lease ->
-                let action, summary =
-                  run_speculation ~cfg ~stop ~owner ~hb lease s m summary
-                in
-                (action, summary, true)))
-  in
-  let ids =
-    match t.Top.stragglers with
-    | _ :: _ as ids -> ids
-    | [] when t.Top.shards_pending = 0 ->
-        (* Drain-tail backup: the robust cut needs at least three
-           progressing holders, but at the tail there may be exactly
-           one — the straggler. With nothing left to claim, back up
-           {e any} fresh shard held by someone else (the classic
-           MapReduce tail speculation). Sound either way (decision
-           10), and the secondary lease bounds the waste to one
-           duplicate scan per tail window. *)
-        List.filter_map
-          (fun (r : Top.worker_row) ->
-            if r.Top.fresh && r.Top.hb.Heartbeat.v_owner <> owner then
-              r.Top.hb.Heartbeat.v_current_shard
-            else None)
-          t.Top.workers
-        |> List.sort_uniq compare
-    | [] -> []
-  in
-  try_ids ids
 
 (* Elastic join: a worker arriving in an already-crowded fleet (more
    fresh heartbeats than pending shards) staggers its first claim sweep
@@ -771,22 +572,11 @@ let run ?(stop = fun () -> false) cfg =
               if not !busy then Ok summary (* every shard is terminal *)
               else begin
                 (* someone else holds the remaining work; sweep dead
-                   reclaimers' tombstones, then either speculate on a
-                   straggler or wait for the holders to finish or go
-                   stale *)
+                   reclaimers' tombstones, then wait for the holders to
+                   finish or go stale *)
                 ignore (Lease.sweep_tombstones ~dir:cfg.dir ~ttl:cfg.ttl);
-                if cfg.speculate then begin
-                  match speculate_one ~cfg ~stop ~owner ~hb m summary with
-                  | `Stop, summary, _ -> Ok summary
-                  | `Continue, summary, progressed ->
-                      if not progressed then
-                        Unix.sleepf (Rt.Backoff.next pace);
-                      loop summary
-                end
-                else begin
-                  Unix.sleepf (Rt.Backoff.next pace);
-                  loop summary
-                end
+                Unix.sleepf (Rt.Backoff.next pace);
+                loop summary
               end
           | candidates -> (
               (* claim the first shard that will have us *)

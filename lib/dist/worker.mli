@@ -12,17 +12,13 @@
     reclaimer owns it now, and the work already done is harmless to
     repeat (deterministic scan, monotone merge).
 
-    With [speculate] on, a worker with nothing claimable re-executes
-    straggler-held shards (fresh lease, holder progressing far below
-    the fleet's robust median rate — see {!Top}; at the drain tail,
-    where too few holders remain for the robust cut, any shard held
-    by someone else is backed up) under the shard's
-    {e secondary} lease, into a separate [.spec.tbl]. The completion
-    record's exclusive create is the single winner point: first record
-    wins, the loser verifies the winner's content hash matches its own
-    (deterministic scans) and discards its duplicate. Sound by DESIGN.md
-    decision 10 — double execution is idempotent, so speculation can
-    only ever waste cycles, never verdicts. *)
+    A stuck shard is rescued only by lease expiry and reclaim. A slow
+    original holder may still race its reclaimer to the completion
+    record; the record's exclusive create is the single winner point:
+    first record wins, the loser verifies the winner's content hash
+    matches its own (deterministic scans) and discards its duplicate.
+    Sound by DESIGN.md decision 10 — double execution is idempotent, so
+    the race can only ever waste cycles, never verdicts. *)
 
 type config = {
   dir : string;
@@ -41,19 +37,11 @@ type config = {
       (** dump the {!Obs.Events} flight ring here on every heartbeat
           tick and at the end of the run, so a killed worker leaves a
           last-moments record no older than one tick *)
-  speculate : bool;
-      (** when idle, re-execute straggler-held shards under their
-          secondary lease and race the holder to the record *)
-  throttle : float option;
-      (** cap the scan rate at this many pairs/s — a chaos-test hook
-          for manufacturing stragglers deterministically; [None] (the
-          default) in any real deployment *)
 }
 
 val default_config : dir:string -> config
 (** ttl 30 s, 1 job, 3 attempts, 2 re-enqueues, no deadline, fsync on,
-    store depth 0, heartbeat every 2 s, no flight file, no speculation,
-    no throttle. *)
+    store depth 0, heartbeat every 2 s, no flight file. *)
 
 type summary = {
   completed : int;
@@ -63,13 +51,12 @@ type summary = {
   requeued : int;
   quarantined : int;
   pairs : int;  (** pair verdicts computed across all shard scans *)
-  speculated : int;  (** speculative re-executions started *)
-  spec_wins : int;
-      (** speculative records that landed first (each also counts in
-          [completed]) *)
+  speculated : int;
+      (** always 0: the worker no longer speculates; kept so existing
+          readers of the summary still compile *)
   deduped : int;
       (** own outputs discarded after losing a record race — the
-          harmless cost of speculation, never lost verdicts *)
+          harmless cost of a reclaim race, never lost verdicts *)
 }
 
 val zero_summary : summary
@@ -84,7 +71,6 @@ val certify :
   cache:Efgame.Cache.t ->
   outcome:Record.outcome ->
   table:string ->
-  table_name:string option ->
   wall_ns:int64 ->
   unit ->
   ([ `Certified of int | `Superseded of Record.t option * int64 ], string)

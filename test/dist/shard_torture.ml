@@ -7,8 +7,7 @@
    table must match an undisturbed single-process scan
    frontier-for-frontier, with a clean 64-pair audit on top. A second
    directory then goes through the unattended `shard run` controller
-   under chaos, with SIGKILLed workers, a throttled straggler and a
-   poisoned shard.
+   under chaos, with SIGKILLed workers and a poisoned shard.
 
    Stages:
      1. clean reference: one undisturbed `--frontier N` scan
@@ -23,10 +22,9 @@
         (as frontier sets) to the reference
      6. `shard audit --sample 64` must pass with zero mismatches
      7. chaos convergence on a fresh directory: shard 0 pre-quarantined,
-        a throttled straggler holding a shard, then `shard run` (its
-        workers on the chaos store) with at least 2 of its workers
-        SIGKILLed; it must converge (exit 0), heal the poison, rescue
-        the straggler's shard by speculation, leave a record for every
+        then `shard run` (its workers on the chaos store) with at least
+        2 of its workers SIGKILLed; it must converge (exit 0), heal the
+        poison, leave a record naming the default table for every
         shard, and merge a table identical to the reference
 
    Usage: shard_torture EFGAME_CLI_EXE — invoked by `dune build
@@ -151,8 +149,8 @@ let leases dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".lease")
 
-(* pids of the current lease holders (primary and speculative leases):
-   a lease file holds its owner, host:pid:nonce *)
+(* pids of the current lease holders: a lease file holds its owner,
+   host:pid:nonce *)
 let lease_pids dir =
   List.filter_map
     (fun f ->
@@ -322,7 +320,7 @@ let () =
      directory. Its workers inherit the chaos store from its
      environment (only `shard work` arms it; the controller itself
      stays on posix). *)
-  note "--- chaos convergence (shard run, poison, straggler, SIGKILLs)";
+  note "--- chaos convergence (shard run, poison, SIGKILLs)";
   let cd = "cd" in
   expect_ok
     [ "shard"; "init"; cd; "-k"; "3"; "--max"; frontier_n; "--shards";
@@ -334,35 +332,24 @@ let () =
   | Ok () -> ()
   | Error msg -> fail "poisoning shard 0: %s" msg);
   let chaos_ttl = "4" in
-  let straggler =
-    spawn ~env:(chaos 1) ~log:"straggler.log"
-      [ "shard"; "work"; cd; "--ttl"; chaos_ttl; "--throttle"; "3";
-        "--heartbeat-every"; "0.5"; "-q" ]
-  in
-  (* the straggler's head start: it must hold a shard when the run's
-     workers arrive, so only speculation can finish that shard early *)
-  Unix.sleepf 0.75;
   let run_pid =
     spawn ~env:(chaos 2) ~log:"run.log"
       [ "shard"; "run"; cd; "run.tbl"; "--workers"; "3"; "--ttl"; chaos_ttl;
         "--json"; "run.json" ]
   in
-  (* SIGKILL the first two lease holders that are not the straggler:
-     those can only be the run's workers *)
+  (* SIGKILL the first two lease holders: only the run's workers hold
+     leases *)
   let killed = ref [] and deadline = Unix.gettimeofday () +. 300. in
   let rec supervise () =
     match Unix.waitpid [ Unix.WNOHANG ] run_pid with
     | 0, _ ->
         if Unix.gettimeofday () > deadline then begin
-          List.iter kill_hard [ run_pid; straggler ];
+          kill_hard run_pid;
           fail "shard run still running after 300 s"
         end;
         List.iter
           (fun pid ->
-            if
-              pid <> straggler && List.length !killed < 2
-              && not (List.mem pid !killed)
-            then begin
+            if List.length !killed < 2 && not (List.mem pid !killed) then begin
               kill_hard pid;
               killed := pid :: !killed;
               note "    SIGKILLed run worker pid %d" pid
@@ -373,8 +360,6 @@ let () =
     | _, st -> status_of st
   in
   let st = supervise () in
-  (try Unix.kill straggler Sys.sigterm with Unix.Unix_error _ -> ());
-  ignore (wait straggler);
   if st <> `Exit 0 then
     fail "shard run: %s (wanted exit 0; see %s/run.log)" (pp_status st) cd;
   if List.length !killed < 2 then
@@ -387,28 +372,15 @@ let () =
   note "OK  shard run converged with %d worker(s) SIGKILLed, %d healed"
     (List.length !killed) healed;
   let m = match Dist.Manifest.load ~dir:cd with Ok m -> m | Error e -> fail "%s" e in
-  let spec_records =
-    Array.fold_left
-      (fun acc (s : Dist.Manifest.shard) ->
-        match Dist.Record.read ~dir:cd s.id with
-        | Ok { Dist.Record.table = Some _; _ } -> acc + 1
-        | Ok _ -> acc
-        | Error msg -> fail "shard %d has no completion record: %s" s.id msg)
-      0 m.shards
-  in
-  (* a heal re-certifies under the plain path, so the heartbeats are
-     the evidence that survives it *)
-  let spec_wins =
-    List.fold_left
-      (fun acc (o : Dist.Heartbeat.observed) ->
-        acc + o.ob_view.Dist.Heartbeat.v_spec_wins)
-      0
-      (fst (Dist.Heartbeat.list ~dir:cd))
-  in
-  if spec_records + spec_wins = 0 then
-    fail "no speculative rescue of the straggler's shard";
-  note "OK  every shard recorded; %d speculative record(s), %d win(s)"
-    spec_records spec_wins;
+  Array.iter
+    (fun (s : Dist.Manifest.shard) ->
+      match Dist.Record.read ~dir:cd s.id with
+      | Ok { Dist.Record.table = None; _ } -> ()
+      | Ok { Dist.Record.table = Some t; _ } ->
+          fail "shard %d's record names table %s, not the default" s.id t
+      | Error msg -> fail "shard %d has no completion record: %s" s.id msg)
+    m.shards;
+  note "OK  every shard recorded under its default table";
   expect_same_table ~what:"chaos convergence vs single-process" "run.tbl"
     "clean.tbl";
 

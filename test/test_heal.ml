@@ -1,12 +1,12 @@
 (* The self-healing layer: cost-model tiling and calibration (windows
    tile the triangle under any exponent, window costs are additive,
    calibration recovers the exponent that generated the walls),
-   manifest v2 model round-trip plus v1 compatibility, completion-
-   record speculation fields and the first-record-wins race, the heal
-   split-and-retry re-tiling invariant, heal end-to-end (quarantine →
-   heal → stamped bound) and irreducible-poison narrowing, speculative
-   rescue of a straggler-held shard, and the Top straggler cut and
-   cost-basis ETA. *)
+   manifest v2 model round-trip plus v1 compatibility, completion
+   records naming a non-default table and the first-record-wins race,
+   the losing certifier's discard, the heal split-and-retry re-tiling
+   invariant, heal end-to-end (quarantine → heal → stamped bound) and
+   irreducible-poison narrowing, merging a record an older speculating
+   worker left, and the Top cost-basis ETA. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -210,12 +210,9 @@ let mk_record ?(owner = "tester") ?(entries = 7) ?(fnv = 0xfeedL) ?table
     wall_ns;
   }
 
-let test_record_speculation_fields () =
+let test_record_non_default_table () =
   with_dir (fun dir ->
-      let r =
-        mk_record ~table:(Dist.Manifest.spec_table_name 3)
-          ~wall_ns:1_234_567_890L 3
-      in
+      let r = mk_record ~table:"shard-0003.spec.tbl" ~wall_ns:1_234_567_890L 3 in
       (match Dist.Record.write ~dir r with
       | `Written -> ()
       | `Lost _ | `Error _ -> Alcotest.fail "first write must land");
@@ -225,7 +222,7 @@ let test_record_speculation_fields () =
           check_bool "round-trips" true (r' = r);
           check_bool "table file resolves under dir" true
             (Dist.Record.table_file ~dir r'
-            = Dist.Manifest.spec_table_path dir 3));
+            = Filename.concat dir "shard-0003.spec.tbl"));
       (* second writer loses, and is handed the winner *)
       (match Dist.Record.write ~dir (mk_record ~owner:"late" 3) with
       | `Lost (Some w) -> check_bool "winner read back" true (w = r)
@@ -243,7 +240,7 @@ let test_record_speculation_fields () =
 
 (* N certifiers race one shard's record: the O_EXCL create lets exactly
    one `Written through, and the record on disk names that winner —
-   the single winner point speculation leans on. *)
+   the single winner point a reclaim race leans on. *)
 let prop_first_record_wins =
   QCheck.Test.make ~name:"racing certifiers: exactly one record lands"
     ~count:25
@@ -428,7 +425,70 @@ let test_heal_irreducible_narrows () =
                 && String.sub reason 0 11 = "irreducible")
           | None -> Alcotest.fail "no quarantine reason")
 
-(* -------------------------------------------------------- speculation *)
+(* Workers that speculated certified a backup scan's [.spec.tbl] and
+   named it in the record. Such a directory must still merge: move a
+   drained shard's table to that name and rewrite its record the way
+   the speculator left it. *)
+let test_merge_old_spec_record () =
+  with_dir (fun dir ->
+      ignore (setup_scan ~k:2 ~max_n:10 ~shards:2 dir);
+      (match
+         Dist.Worker.run
+           { (Dist.Worker.default_config ~dir) with Dist.Worker.fsync = false }
+       with
+      | Ok s -> check_int "drained" 2 s.Dist.Worker.completed
+      | Error msg -> Alcotest.failf "worker: %s" msg);
+      let spec = Filename.concat dir "shard-0000.spec.tbl" in
+      Sys.rename (Dist.Manifest.table_path dir 0) spec;
+      (match Dist.Record.read ~dir 0 with
+      | Error msg -> Alcotest.failf "record: %s" msg
+      | Ok r -> (
+          check_bool "current workers name no table" true
+            (r.Dist.Record.table = None);
+          let old =
+            {
+              r with
+              Dist.Record.owner = "speculator";
+              table = Some "shard-0000.spec.tbl";
+            }
+          in
+          match Dist.Record.write ~replace:true ~dir old with
+          | `Written -> ()
+          | `Lost _ | `Error _ -> Alcotest.fail "record rewrite"));
+      let out = Filename.concat dir "merged.tbl" in
+      match Dist.Merge.merge ~fsync:false ~dir ~out () with
+      | Error msg -> Alcotest.failf "merge: %s" msg
+      | Ok t ->
+          check_bool "complete" true (Dist.Merge.complete t);
+          Alcotest.(check (option (pair int int)))
+            "bound stamped" (Some (2, 10)) t.Dist.Merge.bound)
+
+(* A slow original holder that finishes after its reclaimer certified
+   the shard loses the record race: certify reports the winner and the
+   loser's hash instead of overwriting. Drive certify's loser path
+   directly by pre-writing the reclaimer's record. *)
+let test_duplicate_certifier_discarded () =
+  with_dir (fun dir ->
+      ignore (setup_scan ~k:2 ~max_n:6 ~shards:1 dir);
+      let winner = mk_record ~owner:"reclaimer" ~fnv:0x1234L 0 in
+      (match Dist.Record.write ~dir winner with
+      | `Written -> ()
+      | _ -> Alcotest.fail "pre-write failed");
+      match
+        Dist.Worker.certify ~dir ~fsync:false ~owner:"original" ~id:0
+          ~cache:(Efgame.Cache.create ()) ~outcome:Dist.Record.Exhausted
+          ~table:(Dist.Manifest.table_path dir 0) ~wall_ns:0L ()
+      with
+      | Ok (`Superseded (Some w, _)) ->
+          check_bool "the reclaimer's record stands" true (w = winner);
+          (match Dist.Record.read ~dir 0 with
+          | Ok r -> check_bool "record unchanged" true (r = winner)
+          | Error msg -> Alcotest.failf "read: %s" msg)
+      | Ok (`Superseded (None, _)) -> Alcotest.fail "winner unreadable"
+      | Ok (`Certified _) -> Alcotest.fail "duplicate must lose"
+      | Error msg -> Alcotest.failf "certify: %s" msg)
+
+(* -------------------------------------------------------- top: ETA *)
 
 let mk_view ~owner ~now ?(uptime = 100.) ?(pairs = 0) ?(cost_done = 0)
     ?current_shard () =
@@ -453,119 +513,10 @@ let mk_view ~owner ~now ?(uptime = 100.) ?(pairs = 0) ?(cost_done = 0)
     v_current_shard = current_shard;
     v_last_checkpoint = None;
     v_cost_done = cost_done;
-    v_speculated = 0;
-    v_spec_wins = 0;
   }
-
-let test_speculation_rescues_straggler () =
-  (* a foreign "slowpoke" holds shard 0's lease (fresh — it renews by
-     mtime, and the file is brand new) and advertises itself crawling;
-     a speculating worker must finish shard 1 normally, then rescue
-     shard 0 under the secondary lease and certify its .spec.tbl *)
-  with_dir (fun dir ->
-      ignore (setup_scan ~k:2 ~max_n:10 ~shards:2 dir);
-      (match
-         Dist.Lease.try_claim ~ttl:30. ~owner:"slowpoke"
-           (Dist.Manifest.lease_path dir 0)
-       with
-      | `Claimed _ -> ()
-      | `Reclaimed _ | `Held -> Alcotest.fail "slowpoke claim failed");
-      let now = Unix.gettimeofday () in
-      Dist.Heartbeat.publish ~dir
-        (mk_view ~owner:"slowpoke" ~now ~pairs:5 ~current_shard:0 ());
-      let cfg =
-        {
-          (Dist.Worker.default_config ~dir) with
-          Dist.Worker.fsync = false;
-          speculate = true;
-          heartbeat = 0.;
-        }
-      in
-      match Dist.Worker.run cfg with
-      | Error msg -> Alcotest.failf "worker: %s" msg
-      | Ok s ->
-          check_int "both shards completed" 2 s.Dist.Worker.completed;
-          check_bool "speculated" true (s.Dist.Worker.speculated >= 1);
-          check_bool "speculation won" true (s.Dist.Worker.spec_wins >= 1);
-          check_int "nothing quarantined" 0 s.Dist.Worker.quarantined;
-          (match Dist.Record.read ~dir 0 with
-          | Error msg -> Alcotest.failf "record: %s" msg
-          | Ok r ->
-              Alcotest.(check (option string))
-                "record certifies the speculator's table"
-                (Some (Dist.Manifest.spec_table_name 0))
-                r.Dist.Record.table);
-          let out = Filename.concat dir "merged.tbl" in
-          (match Dist.Merge.merge ~fsync:false ~dir ~out () with
-          | Error msg -> Alcotest.failf "merge: %s" msg
-          | Ok t ->
-              check_bool "complete" true (Dist.Merge.complete t);
-              Alcotest.(check (option (pair int int)))
-                "bound stamped" (Some (2, 10)) t.Dist.Merge.bound))
-
-(* a speculative duplicate that loses the record race is discarded by
-   content hash, never double-counted: drive certify's loser path
-   directly by pre-writing the winner *)
-let test_speculation_duplicate_discarded () =
-  with_dir (fun dir ->
-      ignore (setup_scan ~k:2 ~max_n:6 ~shards:1 dir);
-      (* the primary already certified: any later certifier must lose *)
-      let winner = mk_record ~owner:"primary" ~fnv:0x1234L 0 in
-      (match Dist.Record.write ~dir winner with
-      | `Written -> ()
-      | _ -> Alcotest.fail "pre-write failed");
-      match Dist.Record.write ~dir (mk_record ~owner:"spec" ~fnv:0x1234L 0) with
-      | `Lost (Some w) ->
-          check_bool "same content hash: harmless duplicate" true
-            (w.Dist.Record.table_fnv = 0x1234L)
-      | `Lost None | `Written -> Alcotest.fail "duplicate must lose readably"
-      | `Error msg -> Alcotest.failf "duplicate write: %s" msg)
-
-(* ------------------------------------------------- top: stragglers, ETA *)
 
 let observe ~now views =
   List.map (fun v -> { Dist.Heartbeat.ob_view = v; ob_mtime = Some now }) views
-
-let test_top_straggler_cut () =
-  let now = 1000. in
-  let shard i lo hi = { Dist.Manifest.id = i; lo; hi } in
-  let states =
-    [
-      (shard 0 0 100, Dist.Manifest.Leased);
-      (shard 1 100 200, Dist.Manifest.Leased);
-      (shard 2 200 300, Dist.Manifest.Leased);
-      (shard 3 300 400, Dist.Manifest.Leased);
-    ]
-  in
-  let fleet =
-    [
-      mk_view ~owner:"fast-1" ~now ~pairs:10_000 ~current_shard:1 ();
-      mk_view ~owner:"fast-2" ~now ~pairs:11_000 ~current_shard:2 ();
-      mk_view ~owner:"fast-3" ~now ~pairs:9_500 ~current_shard:3 ();
-      mk_view ~owner:"slow" ~now ~pairs:100 ~current_shard:0 ();
-    ]
-  in
-  let t = Dist.Top.aggregate ~now ~states (observe ~now fleet) in
-  Alcotest.(check (list int)) "slow holder's shard flagged" [ 0 ]
-    t.Dist.Top.stragglers;
-  List.iter
-    (fun (r : Dist.Top.worker_row) ->
-      check_bool
-        (Printf.sprintf "straggler flag for %s" r.Dist.Top.hb.Dist.Heartbeat.v_owner)
-        (r.Dist.Top.hb.Dist.Heartbeat.v_owner = "slow")
-        r.Dist.Top.straggler)
-    t.Dist.Top.workers;
-  (* under three progressing holders the cut refuses to name anyone:
-     a two-worker fleet where one is simply slower is never flagged *)
-  let two =
-    [
-      mk_view ~owner:"fast-1" ~now ~pairs:10_000 ~current_shard:1 ();
-      mk_view ~owner:"slow" ~now ~pairs:100 ~current_shard:0 ();
-    ]
-  in
-  let t2 = Dist.Top.aggregate ~now ~states (observe ~now two) in
-  Alcotest.(check (list int)) "no cut below three holders" []
-    t2.Dist.Top.stragglers
 
 let test_top_cost_eta () =
   let now = 1000. in
@@ -614,8 +565,8 @@ let tests =
         test_manifest_v1_loads_uniform;
       Alcotest.test_case "manifest with a non-integer field rejected" `Quick
         test_manifest_bad_int_rejected;
-      Alcotest.test_case "record speculation fields; replace discipline"
-        `Quick test_record_speculation_fields;
+      Alcotest.test_case "record naming a non-default table; replace discipline"
+        `Quick test_record_non_default_table;
       QCheck_alcotest.to_alcotest prop_first_record_wins;
       QCheck_alcotest.to_alcotest prop_heal_retiling;
       Alcotest.test_case "heal: quarantine -> re-certified bound" `Quick
@@ -624,12 +575,10 @@ let tests =
         `Quick test_run_heals_merge_quarantine;
       Alcotest.test_case "heal: irreducible windows narrow the quarantine"
         `Quick test_heal_irreducible_narrows;
-      Alcotest.test_case "speculation rescues a straggler-held shard"
-        `Quick test_speculation_rescues_straggler;
-      Alcotest.test_case "losing speculative duplicate is discarded" `Quick
-        test_speculation_duplicate_discarded;
-      Alcotest.test_case "top: robust straggler cut" `Quick
-        test_top_straggler_cut;
+      Alcotest.test_case "merge reads an older speculator's .spec.tbl record"
+        `Quick test_merge_old_spec_record;
+      Alcotest.test_case "losing duplicate certifier is discarded" `Quick
+        test_duplicate_certifier_discarded;
       Alcotest.test_case "top: cost-model ETA basis" `Quick
         test_top_cost_eta;
     ] )

@@ -95,8 +95,6 @@ let view_of_ints ~owner ~now:v_now a : Dist.Heartbeat.view =
     v_current_shard = None;
     v_last_checkpoint = None;
     v_cost_done = 0;
-    v_speculated = 0;
-    v_spec_wins = 0;
   }
 
 let prop_top_is_sum_of_workers =
@@ -254,6 +252,40 @@ let test_heartbeat_corrupt_skipped () =
       let t = Dist.Top.aggregate ~now:1001. observed in
       Alcotest.(check int) "aggregate sees the good pairs" 42
         t.Dist.Top.fleet_pairs)
+
+(* Workers that speculated wrote [speculated] and [spec_wins] counters
+   into the same [efgame-heartbeat/1] schema. A directory holding such
+   a snapshot must still aggregate: the reader ignores the counters it
+   no longer knows. *)
+let test_heartbeat_old_counters_load () =
+  let dir = tmpdir "hb-old" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let doc =
+        "{\"schema\":\"efgame-heartbeat/1\",\"owner\":\"old:1:abc\",\
+         \"pid\":7,\"host\":\"h\",\"started_s\":990.0,\"now_s\":1000.0,\
+         \"uptime_s\":10.0,\"seq\":4,\"pairs\":500,\"pairs_per_s\":50.0,\
+         \"completed\":2,\"claimed\":3,\"reclaimed\":0,\"abandoned\":0,\
+         \"requeued\":0,\"quarantined\":0,\"cache_hits\":1,\
+         \"cache_misses\":3,\"cache_hit_rate\":0.25,\"faults\":0,\
+         \"retries\":0,\"cost_done\":0,\"speculated\":3,\"spec_wins\":1,\
+         \"current_shard\":null,\"last_checkpoint_s\":null}"
+      in
+      Out_channel.with_open_bin
+        (Filename.concat dir "worker-old-000001.hb")
+        (fun oc -> Out_channel.output_string oc doc);
+      let observed, warnings = Dist.Heartbeat.list ~dir in
+      Alcotest.(check int) "no warnings" 0 (List.length warnings);
+      match observed with
+      | [ o ] ->
+          let v = o.Dist.Heartbeat.ob_view in
+          Alcotest.(check string) "owner" "old:1:abc" v.Dist.Heartbeat.v_owner;
+          Alcotest.(check int) "pairs" 500 v.Dist.Heartbeat.v_pairs;
+          Alcotest.(check int) "completed" 2 v.Dist.Heartbeat.v_completed;
+          let t = Dist.Top.aggregate ~now:1000. observed in
+          Alcotest.(check int) "aggregates" 2 t.Dist.Top.fleet_completed
+      | _ -> Alcotest.fail "expected exactly one snapshot")
 
 (* Satellite of the chaos work: a heartbeat publisher on a failing
    store (ENOSPC, EIO, injected chaos) must keep ticking — no exception
@@ -472,6 +504,8 @@ let tests =
         test_heartbeat_roundtrip;
       Alcotest.test_case "corrupt heartbeats skipped with warning" `Quick
         test_heartbeat_corrupt_skipped;
+      Alcotest.test_case "heartbeat with old counters still loads" `Quick
+        test_heartbeat_old_counters_load;
       Alcotest.test_case "heartbeat publish degrades and recovers" `Quick
         test_heartbeat_publish_degrades_gracefully;
       Alcotest.test_case "heartbeat list on missing dir" `Quick
