@@ -43,6 +43,15 @@ let arm_faults spec =
         Obs.Log.warn ~tag:"fault" "fault injection armed"
   | Error msg -> fail ~tag:"fault" "%s" msg
 
+(* Output files are written when the work is done; refuse an
+   unwritable path before any work instead of raising after it. *)
+let check_output ~flag = function
+  | Some path -> (
+      match Obs.Jsonw.writable path with
+      | Ok () -> ()
+      | Error why -> fail ~tag:"usage" "%s: cannot write %s: %s" flag path why)
+  | None -> ()
+
 let arm_metrics path =
   Obs.Metrics.enable ();
   at_exit (fun () -> Obs.Metrics.dump ~path)
@@ -137,6 +146,17 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
   if jobs > 1 && frontier = None && scan = None && classes = None then
     fail ~tag:"jobs" "--jobs fans out --scan, --frontier and --classes \
                       only; a word pair is decided on one domain";
+  let non_negative flag n =
+    if n < 0 then fail ~tag:"usage" "%s must be non-negative, got %d" flag n
+  in
+  non_negative "--rounds" rounds;
+  non_negative "--max" max_n;
+  Option.iter (non_negative "--scan") scan;
+  Option.iter (non_negative "--classes") classes;
+  Option.iter (non_negative "--frontier") frontier;
+  check_output ~flag:"--metrics" metrics;
+  check_output ~flag:"--trace" trace;
+  check_output ~flag:"--json" json;
   arm_faults inject_faults;
   Rt.Signal.install ();
   (* telemetry sinks flush on every exit path via at_exit *)
@@ -483,6 +503,7 @@ let table_merge () out ins salvage =
    distinguishable. An unreadable input is skipped, not fatal, exactly
    like a corrupt shard table under [table merge]. *)
 let trace_merge () out ins =
+  check_output ~flag:"trace merge" (Some out);
   let module R = Obs.Jsonr in
   let module J = Obs.Jsonw in
   let seen_labels = Hashtbl.create 8 in
@@ -568,52 +589,8 @@ let trace_merge () out ins =
    manifest / usage" failure, and 130/143 are signal exits as
    everywhere else. *)
 
-(* [--cost-model] spellings: "uniform", "power[:ALPHA]", or "auto" —
-   fit the exponent from a prior run's completion-record wall times
-   ([--calibrate DIR]), falling back to the static Power default. *)
-let resolve_cost_model spec calibrate =
-  match String.lowercase_ascii spec with
-  | "auto" -> (
-      let fallback = Dist.Cost.Power Dist.Cost.default_alpha in
-      match calibrate with
-      | None ->
-          Obs.Log.info ~tag:"shard"
-            "--cost-model auto without --calibrate records: static fallback \
-             %s"
-            (Dist.Cost.to_string fallback);
-          fallback
-      | Some cdir -> (
-          match Dist.Manifest.load ~dir:cdir with
-          | Error msg -> fail "--calibrate %s: %s" cdir msg
-          | Ok cm ->
-              let samples =
-                Array.to_list cm.Dist.Manifest.shards
-                |> List.filter_map (fun s ->
-                       match Dist.Record.read ~dir:cdir s.Dist.Manifest.id with
-                       | Ok { Dist.Record.wall_ns = Some w; _ } ->
-                           Some
-                             {
-                               Dist.Cost.s_lo = s.Dist.Manifest.lo;
-                               s_hi = s.Dist.Manifest.hi;
-                               s_wall = Int64.to_float w /. 1e9;
-                             }
-                       | _ -> None)
-              in
-              let model = Dist.Cost.calibrate ~fallback samples in
-              Obs.Log.info ~tag:"shard"
-                "calibrated %s from %d timed window(s) of %s"
-                (Dist.Cost.to_string model)
-                (List.length samples) cdir;
-              model))
-  | "power" -> Dist.Cost.Power Dist.Cost.default_alpha
-  | spec -> (
-      match Dist.Cost.of_string spec with
-      | Ok m -> m
-      | Error msg -> fail "%s" msg)
-
-let shard_init () dir k max_n shards cost_model calibrate =
-  let model = resolve_cost_model cost_model calibrate in
-  match Dist.Manifest.create ~model ~k ~max_n ~shards () with
+let shard_init () dir k max_n shards =
+  match Dist.Manifest.create ~k ~max_n ~shards () with
   | exception Invalid_argument msg -> fail "%s" msg
   | m -> (
       (match (Dist.Store.active ()).Dist.Store.mkdir dir with
@@ -621,12 +598,9 @@ let shard_init () dir k max_n shards cost_model calibrate =
       | Error e -> fail "%s: %s" dir (Dist.Store.error_message e));
       match Dist.Manifest.save m ~dir with
       | Ok () ->
-          Format.printf
-            "initialized %s: k=%d, %d pairs (q ≤ %d) in %d shards (%s \
-             windows)@."
+          Format.printf "initialized %s: k=%d, %d pairs (q ≤ %d) in %d shards@."
             dir m.Dist.Manifest.k m.Dist.Manifest.total m.Dist.Manifest.max_n
-            (Array.length m.Dist.Manifest.shards)
-            (Dist.Cost.to_string m.Dist.Manifest.model);
+            (Array.length m.Dist.Manifest.shards);
           exit 0
       | Error msg -> fail "%s" msg)
 
@@ -656,6 +630,8 @@ let shard_work () dir ttl jobs budget attempts max_requeues deadline_s
       if st.Dist.Store.label <> "posix" then
         Obs.Log.warn ~tag:"chaos" "hostile store armed: %s" st.Dist.Store.label
   | Error msg -> fail ~tag:"chaos" "%s" msg);
+  check_output ~flag:"--json" json;
+  check_output ~flag:"--metrics" metrics;
   arm_faults inject_faults;
   Rt.Signal.install ();
   Option.iter arm_metrics metrics;
@@ -702,6 +678,7 @@ let shard_work () dir ttl jobs budget attempts max_requeues deadline_s
       exit (if s.Dist.Worker.quarantined > 0 then 1 else 0)
 
 let shard_status () dir ttl json =
+  check_output ~flag:"--json" json;
   match Dist.Manifest.load ~dir with
   | Error msg -> fail "%s" msg
   | Ok m ->
@@ -834,7 +811,7 @@ let shard_top () dir ttl stale_after watch json =
         in
         let t =
           Dist.Top.aggregate ~now:(st.Dist.Store.now ()) ~stale_after
-            ~skew_margin ~model:m.Dist.Manifest.model ~states observed
+            ~skew_margin ~states observed
         in
         (match json with
         | Some path ->
@@ -930,6 +907,7 @@ let shard_audit () dir table sample seed budget salvage =
 (* --------------------------------------------------------- shard heal *)
 
 let shard_heal () dir budget jobs deadline_s json =
+  check_output ~flag:"--json" json;
   Rt.Signal.install ();
   let deadline = deadline_of deadline_s in
   let cfg =
@@ -1004,6 +982,7 @@ let shard_run () dir out workers ttl rounds budget jobs phase_deadline_s json =
   Rt.Signal.install ();
   let fail fmt = fail ~tag:"run" fmt in
   if workers < 1 then fail "--workers must be at least 1";
+  check_output ~flag:"--json" json;
   match Dist.Manifest.load ~dir with
   | Error msg -> fail "%s" msg
   | Ok m ->
@@ -1077,11 +1056,9 @@ let shard_run () dir out workers ttl rounds budget jobs phase_deadline_s json =
           let module J = Obs.Jsonw in
           J.to_file path (fun w ->
               J.obj w (fun w ->
-                  J.field_string w "schema" "efgame-shard-run/1";
+                  J.field_string w "schema" "efgame-shard-run/2";
                   J.field_string w "dir" dir;
                   J.field_string w "out" out;
-                  J.field_string w "model"
-                    (Dist.Cost.to_string m.Dist.Manifest.model);
                   J.field_int w "workers" workers;
                   J.field_int w "rounds" cv.Dist.Run.rounds;
                   J.field_int w "spawned" cv.Dist.Run.spawned;
@@ -1390,16 +1367,6 @@ let chaos_arg =
              variable is the equivalent ambient switch. Robustness testing \
              only.")
 
-let cost_model_arg =
-  Arg.(value & opt string "uniform" & info [ "cost-model" ] ~docv:"MODEL"
-       ~doc:"How shard windows are weighted when the triangle is cut: \
-             $(b,uniform) (equal pair counts, the legacy cut), \
-             $(b,power:ALPHA) (pair (p, q) priced at (q+1)^ALPHA, so \
-             deep-q windows shrink and the fleet's drain tail with it; \
-             $(b,power) alone uses the static default exponent), or \
-             $(b,auto) (fit ALPHA from a prior run's completion-record \
-             wall times via --calibrate, static fallback otherwise).")
-
 let shard_init_cmd =
   let k =
     Arg.(value & opt int 3 & info [ "k"; "rounds" ] ~docv:"K" ~doc:"Rounds.")
@@ -1410,24 +1377,16 @@ let shard_init_cmd =
   in
   let shards =
     Arg.(value & opt int 8 & info [ "shards" ] ~docv:"S"
-         ~doc:"Number of near-equal-cost triangle windows to cut (see \
-               --cost-model).")
-  in
-  let calibrate =
-    Arg.(value & opt (some string) None & info [ "calibrate" ] ~docv:"DIR"
-         ~doc:"With --cost-model auto: fit the cost exponent from the \
-               completion records of the prior scan directory $(docv) \
-               (their wall_ns fields), falling back to the static default \
-               when fewer than two timed windows exist.")
+         ~doc:"Number of triangle windows to cut, near-equal in cost \
+               with every pair (p, q) priced at (q+1)^2.")
   in
   Cmd.v
     (Cmd.info "init"
        ~doc:"Initialize a scan directory: cut the (p, q) triangle into \
-             shard windows — equal in pair count or in modeled cost (see \
-             --cost-model) — and write the immutable, checksummed \
-             manifest. Refuses to re-initialize an existing directory.")
-    Term.(const shard_init $ common $ shard_dir_arg $ k $ max_n $ shards
-          $ cost_model_arg $ calibrate)
+             shard windows of near-equal (q+1)^2 cost and write the \
+             immutable, checksummed manifest. Refuses to re-initialize an \
+             existing directory.")
+    Term.(const shard_init $ common $ shard_dir_arg $ k $ max_n $ shards)
 
 let shard_work_cmd =
   let budget =

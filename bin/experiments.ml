@@ -879,13 +879,22 @@ let () =
   let markdown = ref None in
   let quiet = ref false and verbosity = ref 0 in
   let args = Array.to_list Sys.argv in
+  (* outputs are written after every experiment has run: refuse an
+     unwritable path before any work *)
+  let output flag file =
+    match Obs.Jsonw.writable file with
+    | Ok () -> file
+    | Error why ->
+        Obs.Log.err "experiments: %s: cannot write %s: %s" flag file why;
+        exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
         quick := true;
         parse rest
     | "--markdown" :: file :: rest ->
-        markdown := Some file;
+        markdown := Some (output "--markdown" file);
         parse rest
     | "--frontier" :: n :: rest ->
         (match int_of_string_opt n with
@@ -900,10 +909,11 @@ let () =
         frontier_table := Some file;
         parse rest
     | "--trace" :: file :: rest ->
-        Obs.Trace.start ~path:file ();
+        Obs.Trace.start ~path:(output "--trace" file) ();
         at_exit Obs.Trace.finish;
         parse rest
     | "--metrics" :: file :: rest ->
+        let file = output "--metrics" file in
         Obs.Metrics.enable ();
         at_exit (fun () -> Obs.Metrics.dump ~path:file);
         parse rest

@@ -2,7 +2,7 @@
 
    Examples:
      fc_check --formula "forall z. !(z = eps) -> !exists x y. (x = z . y) & (y = z . z)" abab aaa
-     fc_check --formula "x in /a*b*/" --free x=aab --word aabb
+     fc_check --formula "x in /a*b*/" --free x=aab aabb
      fc_check --formula "exists x y. (x = y . y)" --enumerate 4 --sigma ab
      fc_check --formula "x in /a*(ba)*/" --compile *)
 
@@ -47,6 +47,19 @@ let run formula_src words free enumerate sigma compile quantifier_rank_flag =
                 exit 2)
           free
       in
+      (* bindings must cover every free variable, or there is nothing
+         to evaluate *)
+      (if env <> [] then
+         match
+           List.filter
+             (fun x -> not (List.mem_assoc x env))
+             (Fc.Formula.free_vars formula)
+         with
+         | [] -> ()
+         | unbound ->
+             Format.eprintf "unbound free variable(s): %s (bind each with --free)@."
+               (String.concat ", " unbound);
+             exit 2);
       let check_word w =
         let sigma_all =
           List.sort_uniq Char.compare (sigma_chars @ Words.Word.alphabet w)
@@ -79,8 +92,10 @@ let run formula_src words free enumerate sigma compile quantifier_rank_flag =
       (match enumerate with
       | None -> ()
       | Some max_len ->
-          if not (Fc.Formula.is_sentence formula) then
-            Format.eprintf "--enumerate needs a sentence@."
+          if not (Fc.Formula.is_sentence formula) then begin
+            Format.eprintf "--enumerate needs a sentence@.";
+            exit 2
+          end
           else begin
             let members = Fc.Eval.language_upto ~sigma:sigma_chars formula ~max_len in
             Format.printf "L(φ) ∩ Σ^≤%d (%d members):@." max_len (List.length members);

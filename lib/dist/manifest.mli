@@ -1,6 +1,6 @@
 (** The shard manifest: one immutable, checksummed file cutting a
-    frontier scan into triangle windows, plus the filesystem-derived
-    per-shard lifecycle.
+    frontier scan into triangle windows of near-equal [(q+1)^2] cost
+    ({!Cost}), plus the filesystem-derived per-shard lifecycle.
 
     Everything {e mutable} about a scan — who holds which shard, which
     shards are finished or quarantined — is deliberately not in the
@@ -17,7 +17,6 @@ type t = {
   k : int;
   max_n : int;
   total : int;
-  model : Cost.model;  (** the cost model the windows were tiled by *)
   shards : shard array;
 }
 
@@ -28,12 +27,11 @@ type t = {
     {e stale} lease (mtime past the TTL), claimable via reclaim. *)
 type state = Pending | Leased | Done | Quarantined
 
-val create :
-  ?model:Cost.model -> k:int -> max_n:int -> shards:int -> unit -> t
+val create : k:int -> max_n:int -> shards:int -> unit -> t
 (** Cut the triangle for [max_n] into [shards] nonempty windows of
-    near-equal {e model cost} (equal pair counts under the default
-    [Uniform]; see {!Cost.tile}), capped at one pair per shard.
-    [Invalid_argument] on nonsensical parameters. *)
+    near-equal {e cost} (every pair in row [q] priced at [(q+1)^2]; see
+    {!Cost.tile}), capped at one pair per shard. [Invalid_argument] on
+    nonsensical parameters. *)
 
 val save : t -> dir:string -> (unit, string) result
 (** Write [dir]/manifest (tmp + fsync + atomic rename). Refuses to
@@ -42,7 +40,10 @@ val save : t -> dir:string -> (unit, string) result
 
 val load : dir:string -> (t, string) result
 (** Read and validate: version, trailing whole-file checksum, field
-    consistency (total matches max_n, windows inside the triangle). *)
+    consistency (total matches max_n, windows inside the triangle).
+    Version 1 files and version 2 files with an older [model] line
+    ([uniform] or [power:ALPHA], ALPHA finite in [0, 16]) load with
+    their windows as written; the model value is checked, not used. *)
 
 val state : dir:string -> ttl:float -> shard -> state
 val lease_age : string -> int -> float option

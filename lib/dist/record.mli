@@ -30,8 +30,7 @@ type t = {
           by older speculating workers name a [shard-NNNN.spec.tbl] and
           still read and merge. *)
   wall_ns : int64 option;
-      (** wall time of the certifying scan — the calibration input for
-          {!Cost.calibrate} *)
+      (** wall time of the certifying scan, when recorded *)
 }
 
 val file_fnv : string -> (int64, string) result

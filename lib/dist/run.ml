@@ -116,7 +116,7 @@ let converge ?phase_deadline_s ?budget ?(jobs = 1) ~dir ~ttl ~workers ~rounds
   }
 
 (* Drain tail: how long the last window outlived the median completion
-   — the metric cost-model manifests exist to shrink. Derived from the
+   — the metric the (q+1)^2 cost tiling exists to shrink. Derived from the
    done files' store mtimes, so it survives the controller restarting. *)
 let drain_tail_s ~dir (m : Manifest.t) =
   let st = Store.active () in

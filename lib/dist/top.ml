@@ -1,7 +1,7 @@
 (* The fleet aggregator behind [efgame_cli shard top]: fold every
    readable worker heartbeat plus the manifest's derived shard states
    into one live view — fleet throughput, per-worker share, ETA from
-   the windows still outstanding.
+   the (q+1)^2 cost of the windows still outstanding.
 
    [aggregate] is a pure function of its inputs (clock included), so
    the qcheck property "the fleet row is the sum of the worker rows"
@@ -20,7 +20,7 @@ type worker_row = {
           clock disagrees with the store's, when the mtime is known *)
   skewed : bool;  (** |skew_s| beyond the margin: flagged, not stale *)
   rate : float;  (** pairs/s over the worker's uptime *)
-  cost_rate : float;  (** model-cost units/s (0 under Uniform) *)
+  cost_rate : float;  (** (q+1)^2 cost units/s over the worker's uptime *)
   share : float;  (** of the fleet's pairs; 0 when the fleet is at 0 *)
 }
 
@@ -46,19 +46,17 @@ type t = {
   total_pairs : int;  (** Σ window sizes over every shard *)
   done_pairs : int;  (** Σ window sizes over Done shards *)
   remaining_pairs : int;  (** Σ window sizes over Pending/Leased shards *)
-  total_cost : float;  (** Σ model window costs over every shard *)
-  done_cost : float;  (** Σ model window costs over Done shards *)
+  total_cost : float;  (** Σ window costs over every shard *)
+  done_cost : float;  (** Σ window costs over Done shards *)
   remaining_cost : float;  (** Σ over Pending/Leased shards *)
-  eta_s : float option;  (** remaining work / fleet rate; None at 0 *)
-  eta_basis : string;  (** ["cost"] or ["pairs"] — what the ETA divides *)
+  eta_s : float option;  (** remaining cost / fleet cost rate; None at 0 *)
 }
 
 let default_stale_after = 10.
 let default_skew_margin = 2.0
 
 let aggregate ~now ?(stale_after = default_stale_after)
-    ?(skew_margin = default_skew_margin) ?(model = Cost.Uniform)
-    ?(states = []) observed =
+    ?(skew_margin = default_skew_margin) ?(states = []) observed =
   let observed =
     List.sort
       (fun a b ->
@@ -131,7 +129,7 @@ let aggregate ~now ?(stale_after = default_stale_after)
   let cost_in pred =
     List.fold_left
       (fun acc ((s : Manifest.shard), st) ->
-        if pred st then acc +. Cost.window_cost model s.lo s.hi else acc)
+        if pred st then acc +. Cost.window_cost s.lo s.hi else acc)
       0. states
   in
   let total_cost = cost_in (fun _ -> true) in
@@ -169,20 +167,10 @@ let aggregate ~now ?(stale_after = default_stale_after)
     total_cost;
     done_cost;
     remaining_cost;
-    (* ETA divides remaining model cost by the fleet's cost rate when
-       the model prices work unevenly and the workers report cost
-       progress; otherwise the legacy pairs basis. The basis is carried
-       so consumers know which estimate they are reading. *)
     eta_s =
-      (if model <> Cost.Uniform && remaining_cost > 0. && cost_rate_sum > 0.
-       then Some (remaining_cost /. cost_rate_sum)
-       else if remaining_pairs > 0 && rate > 0. then
-         Some (float_of_int remaining_pairs /. rate)
+      (if remaining_cost > 0. && cost_rate_sum > 0. then
+         Some (remaining_cost /. cost_rate_sum)
        else None);
-    eta_basis =
-      (if model <> Cost.Uniform && remaining_cost > 0. && cost_rate_sum > 0.
-       then "cost"
-       else "pairs");
   }
 
 (* ----------------------------------------------------------- output *)
@@ -190,10 +178,10 @@ let aggregate ~now ?(stale_after = default_stale_after)
 let write_json ?(warnings = []) t w =
   let module J = Obs.Jsonw in
   J.obj w (fun w ->
-      (* /2 added cost-model totals and the ETA basis; /3 removed the
-         /2 fields that flagged slow shard holders. Every /1 field is
-         unchanged *)
-      J.field_string w "schema" "efgame-top/3";
+      (* /2 added cost totals and an ETA basis; /3 removed the /2
+         fields that flagged slow shard holders; /4 removed the basis
+         (the ETA is always cost-based). Every /1 field is unchanged *)
+      J.field_string w "schema" "efgame-top/4";
       J.field_float ~prec:6 w "now_s" t.now;
       J.field w "fleet" (fun w ->
           J.obj w (fun w ->
@@ -205,7 +193,6 @@ let write_json ?(warnings = []) t w =
               (match t.eta_s with
               | Some eta -> J.field_float ~prec:1 w "eta_s" eta
               | None -> J.field_null w "eta_s");
-              J.field_string w "eta_basis" t.eta_basis;
               J.field_int w "completed" t.fleet_completed;
               J.field_int w "claimed" t.fleet_claimed;
               J.field_int w "reclaimed" t.fleet_reclaimed;
@@ -276,9 +263,8 @@ let render ?(warnings = []) t =
   let ppf = Format.formatter_of_buffer b in
   let fresh = List.length (List.filter (fun r -> r.fresh) t.workers) in
   Format.fprintf ppf
-    "fleet: %d worker(s) (%d fresh)  %d pairs  %.1f pairs/s  eta %a (%s)@."
-    (List.length t.workers) fresh t.fleet_pairs t.rate pp_eta t.eta_s
-    t.eta_basis;
+    "fleet: %d worker(s) (%d fresh)  %d pairs  %.1f pairs/s  eta %a@."
+    (List.length t.workers) fresh t.fleet_pairs t.rate pp_eta t.eta_s;
   Format.fprintf ppf
     "shards: %d pending, %d leased, %d done, %d quarantined  (%d / %d pairs done)@."
     t.shards_pending t.shards_leased t.shards_done t.shards_quarantined

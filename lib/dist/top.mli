@@ -8,7 +8,9 @@
     stale snapshots lives in {!Heartbeat.list} (skip + warn) and in the
     [fresh] flag here (a stale worker's rate is excluded from fleet
     throughput and the ETA, but its counters still count: its completed
-    work is real). *)
+    work is real). The ETA prices the outstanding windows at the
+    {!Cost} price, [(q+1)^2] per pair, whatever cut the manifest was
+    written with. *)
 
 type worker_row = {
   hb : Heartbeat.view;
@@ -22,7 +24,7 @@ type worker_row = {
       (** publisher clock minus store mtime, when the mtime is known *)
   skewed : bool;  (** [|skew_s| > skew_margin] — flagged, not stale *)
   rate : float;  (** pairs/s over the worker's uptime *)
-  cost_rate : float;  (** model-cost units/s (0 under Uniform) *)
+  cost_rate : float;  (** (q+1)^2 cost units/s over the worker's uptime *)
   share : float;  (** of fleet pairs; 0 when the fleet is at 0 *)
 }
 
@@ -48,14 +50,12 @@ type t = {
   total_pairs : int;
   done_pairs : int;
   remaining_pairs : int;  (** windows still Pending or Leased *)
-  total_cost : float;  (** Σ model window costs over every shard *)
+  total_cost : float;  (** Σ {!Cost.window_cost} over every shard *)
   done_cost : float;
   remaining_cost : float;
   eta_s : float option;
-      (** remaining model cost over the fleet's cost rate when the
-          model prices work unevenly and workers report cost progress;
-          else [remaining_pairs / rate]; [None] when either is 0 *)
-  eta_basis : string;  (** ["cost"] or ["pairs"] *)
+      (** [remaining_cost] over the fresh workers' summed cost rate;
+          [None] when either is 0 *)
 }
 
 val default_stale_after : float
@@ -70,15 +70,12 @@ val aggregate :
   now:float ->
   ?stale_after:float ->
   ?skew_margin:float ->
-  ?model:Cost.model ->
   ?states:(Manifest.shard * Manifest.state) list ->
   Heartbeat.observed list ->
   t
-(** [model] (default [Uniform]) prices the outstanding windows for the
-    cost-based ETA; pass the manifest's model. *)
 
 val write_json : ?warnings:string list -> t -> Obs.Jsonw.t -> unit
-(** The [efgame-top/3] document: [fleet] (sums + rate + ETA + basis),
+(** The [efgame-top/4] document: [fleet] (sums + rate + ETA),
     [shards] (counts, pair and cost totals), per-worker rows, and the
     skip warnings. Every [efgame-top/1] field is carried unchanged. *)
 

@@ -48,7 +48,6 @@ type config = {
   max_requeues : int;  (** cross-worker retries before quarantine *)
   deadline : Rt.Deadline.t;
   fsync : bool;
-  store_depth : int;
   heartbeat : float;  (** snapshot publish interval; <= 0 disables *)
   flight : string option;  (** dump the flight ring here on every tick *)
 }
@@ -63,7 +62,6 @@ let default_config ~dir =
     max_requeues = 2;
     deadline = Rt.Deadline.none;
     fsync = true;
-    store_depth = 0;
     heartbeat = 2.;
     flight = None;
   }
@@ -231,11 +229,8 @@ let execute ~cfg ~stop ~hb (lease : Lease.t) shard m =
     let cs = Efgame.Cache.stats cache in
     Atomic.set hb.Heartbeat.cache_hits (hits_base + cs.Efgame.Cache.hits);
     Atomic.set hb.Heartbeat.cache_misses (misses_base + cs.Efgame.Cache.misses);
-    match m.model with
-    | Cost.Uniform -> ()
-    | model ->
-        let c = Cost.window_cost model shard.lo (shard.lo + completed) in
-        Atomic.set hb.Heartbeat.cost_done (cost_base + int_of_float c)
+    let c = Cost.window_cost shard.lo (shard.lo + completed) in
+    Atomic.set hb.Heartbeat.cost_done (cost_base + int_of_float c)
   in
   let st = Store.active () in
   let started = st.Store.now () in
@@ -256,8 +251,8 @@ let execute ~cfg ~stop ~hb (lease : Lease.t) shard m =
     || Rt.Signal.pending () <> None
   in
   match
-    Efgame.Witness.scan ?budget:cfg.budget ~engine ~store_depth:cfg.store_depth
-      ~range:(shard.lo, shard.hi) ~on_tick ~stop ~k:m.k ~max_n:m.max_n ()
+    Efgame.Witness.scan ?budget:cfg.budget ~engine ~range:(shard.lo, shard.hi)
+      ~on_tick ~stop ~k:m.k ~max_n:m.max_n ()
   with
   | exception e ->
       (* a crashed scan (an injected scheduler fault that escaped

@@ -29,7 +29,6 @@ type config = {
   max_requeues : int;  (** cross-worker retries before quarantine *)
   deadline : Rt.Deadline.t;
   fsync : bool;
-  store_depth : int;
   heartbeat : float;
       (** telemetry heartbeat publish interval, seconds; [<= 0] turns
           the publisher off entirely (no tick thread, no [.hb] file) *)
@@ -41,7 +40,7 @@ type config = {
 
 val default_config : dir:string -> config
 (** ttl 30 s, 1 job, 3 attempts, 2 re-enqueues, no deadline, fsync on,
-    store depth 0, heartbeat every 2 s, no flight file. *)
+    heartbeat every 2 s, no flight file. *)
 
 type summary = {
   completed : int;

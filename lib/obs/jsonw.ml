@@ -14,6 +14,19 @@ let to_file path f =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> Buffer.output_buffer oc t.buf)
 
+let writable path =
+  let dir = Filename.dirname path in
+  let access p =
+    match Unix.access p [ Unix.W_OK ] with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  in
+  if Sys.file_exists path then
+    if Sys.is_directory path then Error "is a directory" else access path
+  else if Sys.file_exists dir && Sys.is_directory dir then
+    Result.map_error (fun e -> dir ^ ": " ^ e) (access dir)
+  else Error (dir ^ ": no such directory")
+
 let add_escaped buf s =
   String.iter
     (fun c ->

@@ -19,6 +19,13 @@ val contents : t -> string
     atomically enough for our purposes (single [open_out]/[close_out]). *)
 val to_file : string -> (t -> unit) -> unit
 
+(** [writable path] — [Ok ()] when [path] can be created or overwritten
+    (its directory exists and is writable, and [path] is not a
+    directory), else [Error reason]. The CLIs check every output path
+    with it before doing any work, so a mistyped path is a usage error
+    up front rather than an exception after the run. *)
+val writable : string -> (unit, string) result
+
 (** JSON string escaping: quotes, backslash, and all control characters
     (as [\uXXXX], with the usual short forms for [\n] [\r] [\t]). *)
 val escaped : string -> string

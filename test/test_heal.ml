@@ -1,12 +1,11 @@
-(* The self-healing layer: cost-model tiling and calibration (windows
-   tile the triangle under any exponent, window costs are additive,
-   calibration recovers the exponent that generated the walls),
-   manifest v2 model round-trip plus v1 compatibility, completion
-   records naming a non-default table and the first-record-wins race,
-   the losing certifier's discard, the heal split-and-retry re-tiling
-   invariant, heal end-to-end (quarantine → heal → stamped bound) and
-   irreducible-poison narrowing, merging a record an older speculating
-   worker left, and the Top cost-basis ETA. *)
+(* The self-healing layer: the (q+1)^2 cost tiling (windows tile the
+   triangle, window costs are additive, deep-q windows shrink),
+   manifest round-trip plus loading of older v2 model lines and v1
+   files, completion records naming a non-default table and the
+   first-record-wins race, the losing certifier's discard, the heal
+   split-and-retry re-tiling invariant, heal end-to-end (quarantine →
+   heal → stamped bound) and irreducible-poison narrowing, merging a
+   record an older speculating worker left, and the Top cost ETA. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -41,70 +40,56 @@ let write_file path data =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc data)
 
-let setup_scan ?model ~k ~max_n ~shards dir =
-  let m = Dist.Manifest.create ?model ~k ~max_n ~shards () in
+let setup_scan ~k ~max_n ~shards dir =
+  let m = Dist.Manifest.create ~k ~max_n ~shards () in
   match Dist.Manifest.save m ~dir with
   | Ok () -> m
   | Error msg -> Alcotest.failf "manifest save: %s" msg
 
-(* ---------------------------------------------------------- cost model *)
+let write_manifest dir body =
+  write_file (Dist.Manifest.path dir)
+    (Printf.sprintf "%schecksum %Lx\n" body (Dist.Manifest.fnv1a64 body))
+
+(* ---------------------------------------------------------- cost tiling *)
 
 let test_cost_tile_covers () =
   List.iter
-    (fun model ->
-      List.iter
-        (fun (max_n, shards) ->
-          let total = max_n * (max_n + 1) / 2 in
-          let windows = Dist.Cost.tile ~model ~max_n ~shards in
-          let covered = ref 0 in
-          Array.iteri
-            (fun i (lo, hi) ->
-              check_int
-                (Printf.sprintf "%s lo of window %d (max_n=%d)"
-                   (Dist.Cost.to_string model) i max_n)
-                !covered lo;
-              check_bool "window nonempty" true (hi > lo);
-              covered := hi)
-            windows;
+    (fun (max_n, shards) ->
+      let total = max_n * (max_n + 1) / 2 in
+      let windows = Dist.Cost.tile ~max_n ~shards in
+      let covered = ref 0 in
+      Array.iteri
+        (fun i (lo, hi) ->
           check_int
-            (Printf.sprintf "%s full cover (max_n=%d, shards=%d)"
-               (Dist.Cost.to_string model) max_n shards)
-            total !covered)
-        [ (1, 1); (5, 3); (16, 4); (16, 1000); (96, 7); (96, 12) ])
-    [
-      Dist.Cost.Uniform;
-      Dist.Cost.Power 0.;
-      Dist.Cost.Power 1.;
-      Dist.Cost.Power 2.;
-      Dist.Cost.Power 3.3;
-    ]
+            (Printf.sprintf "lo of window %d (max_n=%d)" i max_n)
+            !covered lo;
+          check_bool "window nonempty" true (hi > lo);
+          covered := hi)
+        windows;
+      check_int
+        (Printf.sprintf "full cover (max_n=%d, shards=%d)" max_n shards)
+        total !covered)
+    [ (1, 1); (5, 3); (16, 4); (16, 1000); (96, 7); (96, 12) ]
 
 let test_cost_window_additive () =
   let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs b) in
+  let total = 96 * 97 / 2 in
   List.iter
-    (fun model ->
-      let total = 96 * 97 / 2 in
-      List.iter
-        (fun (lo, mid, hi) ->
-          let whole = Dist.Cost.window_cost model lo hi in
-          let halves =
-            Dist.Cost.window_cost model lo mid
-            +. Dist.Cost.window_cost model mid hi
-          in
-          check_bool
-            (Printf.sprintf "%s additive [%d,%d,%d)"
-               (Dist.Cost.to_string model) lo mid hi)
-            true (close whole halves))
-        [ (0, 1, 2); (0, 100, total); (7, 1000, 2000); (0, total / 2, total) ];
-      (* and under Uniform the cost is literally the pair count *)
-      check_bool "uniform = pair count" true
-        (close (Dist.Cost.window_cost Dist.Cost.Uniform 7 919) (float_of_int (919 - 7))))
-    [ Dist.Cost.Uniform; Dist.Cost.Power 1.; Dist.Cost.Power 2. ]
+    (fun (lo, mid, hi) ->
+      let whole = Dist.Cost.window_cost lo hi in
+      let halves = Dist.Cost.window_cost lo mid +. Dist.Cost.window_cost mid hi in
+      check_bool
+        (Printf.sprintf "additive [%d,%d,%d)" lo mid hi)
+        true (close whole halves))
+    [ (0, 1, 2); (0, 100, total); (7, 1000, 2000); (0, total / 2, total) ];
+  (* the price itself: row q holds q pairs at (q+1)^2 each *)
+  check_bool "Σ_{q=1}^{64} q·(q+1)² = 4,507,360" true
+    (Dist.Cost.window_cost 0 (64 * 65 / 2) = 4_507_360.)
 
 let test_cost_tile_shrinks_deep_windows () =
-  (* the whole point of a Power cut: the deep-q (last) window holds
+  (* the whole point of the cost cut: the deep-q (last) window holds
      far fewer pairs than the shallow (first) one *)
-  let windows = Dist.Cost.tile ~model:(Dist.Cost.Power 2.) ~max_n:96 ~shards:8 in
+  let windows = Dist.Cost.tile ~max_n:96 ~shards:8 in
   let pairs (lo, hi) = hi - lo in
   let first = pairs windows.(0) in
   let last = pairs windows.(Array.length windows - 1) in
@@ -113,45 +98,52 @@ let test_cost_tile_shrinks_deep_windows () =
     true
     (last * 2 < first)
 
-let test_calibrate_recovers_alpha () =
-  (* synthesize walls from a known exponent (constant time-per-cost
-     factor): the fit must recover it *)
-  let truth = Dist.Cost.Power 2. in
-  let windows = Dist.Cost.tile ~model:Dist.Cost.Uniform ~max_n:96 ~shards:8 in
-  let samples =
-    Array.to_list windows
-    |> List.map (fun (lo, hi) ->
-           {
-             Dist.Cost.s_lo = lo;
-             s_hi = hi;
-             s_wall = 3.7e-6 *. Dist.Cost.window_cost truth lo hi;
-           })
-  in
-  (match Dist.Cost.calibrate samples with
-  | Dist.Cost.Power a ->
-      check_bool (Printf.sprintf "recovered alpha %.2f" a) true
-        (Float.abs (a -. 2.) <= 0.1)
-  | Dist.Cost.Uniform -> Alcotest.fail "calibrated to Uniform");
-  (* fewer than two usable samples: the fallback, verbatim *)
-  match Dist.Cost.calibrate ~fallback:(Dist.Cost.Power 1.5) [ List.hd samples ] with
-  | Dist.Cost.Power a ->
-      check_bool "fallback exponent" true (Float.abs (a -. 1.5) <= 1e-9)
-  | Dist.Cost.Uniform -> Alcotest.fail "fallback ignored"
-
 (* ------------------------------------------------------- manifest v1/v2 *)
 
-let test_manifest_model_round_trip () =
+let test_manifest_round_trip () =
   with_dir (fun dir ->
-      let m =
-        setup_scan ~model:(Dist.Cost.Power 2.5) ~k:3 ~max_n:48 ~shards:5 dir
+      let m = setup_scan ~k:3 ~max_n:48 ~shards:5 dir in
+      let data =
+        In_channel.with_open_bin (Dist.Manifest.path dir) In_channel.input_all
       in
+      check_bool "no model line" false
+        (List.exists
+           (String.starts_with ~prefix:"model ")
+           (String.split_on_char '\n' data));
       match Dist.Manifest.load ~dir with
       | Error msg -> Alcotest.failf "load: %s" msg
       | Ok m' ->
-          check_bool "model survives" true
-            (m'.Dist.Manifest.model = Dist.Cost.Power 2.5);
           check_bool "windows survive" true
-            (m.Dist.Manifest.shards = m'.Dist.Manifest.shards))
+            (m.Dist.Manifest.shards = m'.Dist.Manifest.shards));
+  (* older v2 manifests name the cut their windows came from: the
+     windows load as written, whatever the model says *)
+  List.iter
+    (fun model ->
+      with_dir (fun dir ->
+          write_manifest dir
+            (Printf.sprintf
+               "efgame-shard-manifest 2\nk 2\nmax_n 4\ntotal 10\nmodel %s\n\
+                shard 0 0 3\nshard 1 3 10\n"
+               model);
+          match Dist.Manifest.load ~dir with
+          | Error msg -> Alcotest.failf "model %s: %s" model msg
+          | Ok m ->
+              check_bool
+                (Printf.sprintf "model %s: windows as written" model)
+                true
+                (m.Dist.Manifest.shards
+                = [|
+                    { Dist.Manifest.id = 0; lo = 0; hi = 3 };
+                    { Dist.Manifest.id = 1; lo = 3; hi = 10 };
+                  |])))
+    [ "uniform"; "power:2.5" ];
+  with_dir (fun dir ->
+      write_manifest dir
+        "efgame-shard-manifest 2\nk 2\nmax_n 4\ntotal 10\nmodel power:nan\n\
+         shard 0 0 10\n";
+      match Dist.Manifest.load ~dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "loaded model power:nan")
 
 let test_manifest_bad_int_rejected () =
   (* a correct checksum over a non-integer field: an [Error], never an
@@ -159,10 +151,7 @@ let test_manifest_bad_int_rejected () =
   with_dir (fun dir ->
       List.iter
         (fun body ->
-          let data =
-            Printf.sprintf "%schecksum %Lx\n" body (Dist.Manifest.fnv1a64 body)
-          in
-          write_file (Dist.Manifest.path dir) data;
+          write_manifest dir body;
           match Dist.Manifest.load ~dir with
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "loaded a malformed manifest: %S" body
@@ -175,25 +164,17 @@ let test_manifest_bad_int_rejected () =
           "efgame-shard-manifest 2\nk 2\nmax_n 4\ntotal 10\nshard 0 0 1e1\n";
         ])
 
-let test_manifest_v1_loads_uniform () =
-  (* a version 1 manifest (no model line), hand-written byte for byte:
-     still loads, as a Uniform cut *)
+let test_manifest_v1_loads () =
+  (* a version 1 manifest (no model line), hand-written byte for byte *)
   with_dir (fun dir ->
-      let body =
+      write_manifest dir
         "efgame-shard-manifest 1\nk 2\nmax_n 4\ntotal 10\n\
-         shard 0 0 5\nshard 1 5 10\n"
-      in
-      let data =
-        Printf.sprintf "%schecksum %Lx\n" body (Dist.Manifest.fnv1a64 body)
-      in
-      write_file (Dist.Manifest.path dir) data;
+         shard 0 0 5\nshard 1 5 10\n";
       match Dist.Manifest.load ~dir with
       | Error msg -> Alcotest.failf "v1 load: %s" msg
       | Ok m ->
           check_int "k" 2 m.Dist.Manifest.k;
           check_int "total" 10 m.Dist.Manifest.total;
-          check_bool "model defaults to Uniform" true
-            (m.Dist.Manifest.model = Dist.Cost.Uniform);
           check_int "shards" 2 (Array.length m.Dist.Manifest.shards))
 
 (* ---------------------------------------------------------- records *)
@@ -520,7 +501,6 @@ let observe ~now views =
 
 let test_top_cost_eta () =
   let now = 1000. in
-  let model = Dist.Cost.Power 2. in
   let shard i lo hi = { Dist.Manifest.id = i; lo; hi } in
   let states =
     [
@@ -528,14 +508,13 @@ let test_top_cost_eta () =
       (shard 1 100 200, Dist.Manifest.Leased);
     ]
   in
-  let fleet =
-    [ mk_view ~owner:"w" ~now ~uptime:10. ~pairs:100 ~cost_done:500
+  let fleet ~cost_done =
+    [ mk_view ~owner:"w" ~now ~uptime:10. ~pairs:100 ~cost_done
         ~current_shard:1 () ]
   in
-  let t = Dist.Top.aggregate ~now ~model ~states (observe ~now fleet) in
-  Alcotest.(check string) "cost basis" "cost" t.Dist.Top.eta_basis;
-  let remaining = Dist.Cost.window_cost model 100 200 in
-  check_bool "remaining cost priced by the model" true
+  let t = Dist.Top.aggregate ~now ~states (observe ~now (fleet ~cost_done:500)) in
+  let remaining = Dist.Cost.window_cost 100 200 in
+  check_bool "remaining windows priced at (q+1)^2" true
     (Float.abs (t.Dist.Top.remaining_cost -. remaining) < 1e-6);
   (match t.Dist.Top.eta_s with
   | Some eta ->
@@ -543,26 +522,23 @@ let test_top_cost_eta () =
       check_bool "eta = remaining / cost rate" true
         (Float.abs (eta -. (remaining /. 50.)) < 1e-3)
   | None -> Alcotest.fail "no ETA");
-  (* the same fleet under Uniform prices by pairs *)
-  let t' = Dist.Top.aggregate ~now ~states (observe ~now fleet) in
-  Alcotest.(check string) "pairs basis under Uniform" "pairs"
-    t'.Dist.Top.eta_basis
+  (* a fleet that reports no cost progress has no ETA *)
+  let t' = Dist.Top.aggregate ~now ~states (observe ~now (fleet ~cost_done:0)) in
+  check_bool "no cost progress, no ETA" true (t'.Dist.Top.eta_s = None)
 
 let tests =
   ( "heal",
     [
-      Alcotest.test_case "cost windows tile the triangle (any exponent)"
-        `Quick test_cost_tile_covers;
+      Alcotest.test_case "cost windows tile the triangle" `Quick
+        test_cost_tile_covers;
       Alcotest.test_case "window costs are additive" `Quick
         test_cost_window_additive;
       Alcotest.test_case "power cut shrinks deep-q windows" `Quick
         test_cost_tile_shrinks_deep_windows;
-      Alcotest.test_case "calibration recovers the exponent" `Quick
-        test_calibrate_recovers_alpha;
-      Alcotest.test_case "manifest v2 model round-trips" `Quick
-        test_manifest_model_round_trip;
-      Alcotest.test_case "manifest v1 still loads (Uniform)" `Quick
-        test_manifest_v1_loads_uniform;
+      Alcotest.test_case "manifest round-trips; legacy model lines still load"
+        `Quick test_manifest_round_trip;
+      Alcotest.test_case "manifest v1 still loads" `Quick
+        test_manifest_v1_loads;
       Alcotest.test_case "manifest with a non-integer field rejected" `Quick
         test_manifest_bad_int_rejected;
       Alcotest.test_case "record naming a non-default table; replace discipline"
@@ -579,6 +555,6 @@ let tests =
         `Quick test_merge_old_spec_record;
       Alcotest.test_case "losing duplicate certifier is discarded" `Quick
         test_duplicate_certifier_discarded;
-      Alcotest.test_case "top: cost-model ETA basis" `Quick
+      Alcotest.test_case "top: ETA prices remaining windows at (q+1)²" `Quick
         test_top_cost_eta;
     ] )

@@ -162,12 +162,14 @@ let test_top_states_and_eta () =
       (shard 3 300 310, Dist.Manifest.Quarantined);
     ]
   in
-  (* one fresh worker at exactly 50 pairs/s: 100 pairs over 2 s *)
+  (* one fresh worker at exactly 50 pairs/s: 100 pairs over 2 s, and
+     the (q+1)^2 cost of those pairs *)
   let v =
     {
       (view_of_ints ~owner:"w" ~now:1000. (Array.make 11 0)) with
       v_started = 998.;
       v_pairs = 100;
+      v_cost_done = int_of_float (Dist.Cost.window_cost 0 100);
     }
   in
   let t =
@@ -183,8 +185,11 @@ let test_top_states_and_eta () =
   Alcotest.(check int) "remaining = leased + pending" 200
     t.Dist.Top.remaining_pairs;
   Alcotest.(check (float 1e-9)) "rate" 50. t.Dist.Top.rate;
+  let cost_rate = float_of_int v.Dist.Heartbeat.v_cost_done /. 2. in
   match t.Dist.Top.eta_s with
-  | Some eta -> Alcotest.(check (float 1e-9)) "eta = remaining / rate" 4. eta
+  | Some eta ->
+      Alcotest.(check (float 1e-6)) "eta = remaining cost / cost rate"
+        (Dist.Cost.window_cost 100 300 /. cost_rate) eta
   | None -> Alcotest.fail "expected an ETA"
 
 (* ------------------------------------------------------------------ *)
