@@ -129,16 +129,10 @@ let bench_powers =
   Test.make ~name:"efgame/powers((ab)^12 vs (ab)^14, k=1)  [E11]"
     (Staged.stage (fun () -> ignore (Efgame.Game.equiv (rep "ab" 12) (rep "ab" 14) 1)))
 
-(* The E2 ≡₂ frontier scan under each solver engine: the seed memoized
-   search, the transposition-table engine (fresh table per run, so the
-   speedup is canonicalization + pruning + the arithmetic fast path, not
-   warm-cache reuse), and the table engine with the per-q pair checks
-   fanned out over two worker domains. *)
-
-let bench_scan_k2_seed =
-  Test.make ~name:"efgame/scan_k2_seed(minimal pair, n<=14)  [E2]"
-    (Staged.stage (fun () ->
-         ignore (Efgame.Witness.minimal_pair ~engine:Efgame.Witness.Seed ~k:2 ~max_n:14 ())))
+(* The E2 ≡₂ frontier scan under each table engine: a fresh table per
+   run (so the time is canonicalization + pruning + the arithmetic fast
+   path, not warm-cache reuse), and the same with the pair checks fanned
+   out over two worker domains. *)
 
 let bench_scan_k2_cached =
   Test.make ~name:"efgame/scan_k2_cached(minimal pair, n<=14)  [E2]"
@@ -269,7 +263,7 @@ let all_tests =
     bench_fc_fib_guided; bench_fc_ww_guided; bench_fc_ww_naive; bench_fc_cubefree;
     bench_fc_vbv; bench_bounded_compile;
     bench_unary_neq; bench_unary_witness; bench_anbn; bench_powers;
-    bench_scan_k2_seed; bench_scan_k2_cached; bench_scan_k2_parallel;
+    bench_scan_k2_cached; bench_scan_k2_parallel;
     bench_frontier_k3_cached;
     bench_limited_mode; bench_strategy_pseudo; bench_strategy_power;
     bench_spanner_extract; bench_spanner_join; bench_spanner_reduction;

@@ -3,8 +3,8 @@
    Examples:
      efgame_cli aaa aaaa --rounds 1
      efgame_cli aa aaa --rounds 2 --explain
-     efgame_cli aaaa aaaaaa --rounds 2 --cache --stats
-     efgame_cli abab baba --rounds 2 --cache
+     efgame_cli abab baba --rounds 2 --table t.tbl --stats
+                                             (decide through a persisted table)
      efgame_cli --scan 2 --max 14            (minimal unary pair search)
      efgame_cli --classes 1 --max 8          (≡_k classes of a^0..a^max)
      efgame_cli --frontier 384 --table e2.tbl --json scan.json
@@ -50,6 +50,26 @@ let check_output ~flag = function
       match Obs.Jsonw.writable path with
       | Ok () -> ()
       | Error why -> fail ~tag:"usage" "%s: cannot write %s: %s" flag path why)
+  | None -> ()
+
+(* A table is saved as a temp file renamed over FILE, so it is FILE's
+   directory that must be writable (a read-only FILE is fine). Refuse a
+   bad path before the scan instead of failing every checkpoint. *)
+let check_table = function
+  | Some file ->
+      let dir = Filename.dirname file in
+      let why =
+        if Sys.file_exists file && Sys.is_directory file then
+          Some "is a directory"
+        else if not (Sys.file_exists dir && Sys.is_directory dir) then
+          Some (dir ^ ": no such directory")
+        else
+          match Unix.access dir [ Unix.W_OK ] with
+          | () -> None
+          | exception Unix.Unix_error (e, _, _) ->
+              Some (dir ^ ": " ^ Unix.error_message e)
+      in
+      Option.iter (fail ~tag:"usage" "--table: cannot write %s: %s" file) why
   | None -> ()
 
 let arm_metrics path =
@@ -138,8 +158,8 @@ let write_scan_json ~path ~mode ~k ~max_n ~jobs ~budget ~outcome ~stop_reason
 
 (* ------------------------------------------------------------- driver *)
 
-let run () words rounds explain budget scan classes frontier max_n use_cache jobs
-    stats table resume salvage checkpoint_s deadline_s inject_faults json trace
+let run () words rounds explain budget scan classes frontier max_n jobs stats
+    table resume salvage checkpoint_s deadline_s inject_faults json trace
     metrics telemetry telemetry_interval flight =
   (* a word pair is decided on one domain: its last round is closed-form,
      so there is no work left to fan out *)
@@ -157,6 +177,7 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
   check_output ~flag:"--metrics" metrics;
   check_output ~flag:"--trace" trace;
   check_output ~flag:"--json" json;
+  check_table table;
   arm_faults inject_faults;
   Rt.Signal.install ();
   (* telemetry sinks flush on every exit path via at_exit *)
@@ -180,17 +201,19 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
       in
       at_exit (fun () -> Obs.Telemetry.stop_publisher t)
   | None -> ());
-  (* a frontier scan is table-driven by definition; a scan's --jobs > 1
-     and --table each imply --cache as well *)
-  let use_cache =
-    use_cache || jobs > 1 || Option.is_some frontier || Option.is_some table
+  (* a frontier scan is table-driven by definition, and a scan's
+     --jobs > 1 workers share one table; otherwise only --table asks
+     for one *)
+  let cache =
+    if jobs > 1 || Option.is_some frontier || Option.is_some table then
+      Some (Efgame.Cache.create ())
+    else None
   in
-  let cache = if use_cache then Some (Efgame.Cache.create ()) else None in
   let engine =
     match (cache, jobs) with
-    | Some c, j when j > 1 -> Efgame.Witness.Parallel (c, j)
-    | Some c, _ -> Efgame.Witness.Cached c
-    | None, _ -> Efgame.Witness.Seed
+    | Some c, j when j > 1 -> Some (Efgame.Witness.Parallel (c, j))
+    | Some c, _ -> Some (Efgame.Witness.Cached c)
+    | None, _ -> None
   in
   let deadline = deadline_of deadline_s in
   (* First trigger wins and latches: every subsequent poll is one ref
@@ -318,7 +341,7 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
         ~args:(fun () ->
           [ ("k", Obs.Trace.I k); ("max_n", Obs.Trace.I max_n) ])
         (fun () ->
-          Efgame.Witness.scan ~budget ~engine ~range:(range_lo, total) ~on_q
+          Efgame.Witness.scan ~budget ?engine ~range:(range_lo, total) ~on_q
             ~on_tick ~stop ~k ~max_n ())
     in
     let wall_s = Unix.gettimeofday () -. t0 in
@@ -397,7 +420,7 @@ let run () words rounds explain budget scan classes frontier max_n use_cache job
       run_scan ~mode:"frontier" ~k:3 ~max_n:n
   | None, Some k, _ -> run_scan ~mode:"scan" ~k ~max_n
   | None, None, Some k ->
-      (match Efgame.Witness.classes ~budget ~engine ~k ~max_n () with
+      (match Efgame.Witness.classes ~budget ?engine ~k ~max_n () with
       | None -> Format.printf "budget exhausted@."
       | Some cls ->
           Format.printf "≡_%d classes of {a^0..a^%d}:@." k max_n;
@@ -1124,19 +1147,12 @@ let frontier_arg =
 
 let max_arg = Arg.(value & opt int 14 & info [ "max" ] ~docv:"N" ~doc:"Bound for --scan/--classes.")
 
-let cache_arg =
-  Arg.(value & flag & info [ "cache" ]
-       ~doc:"Use the transposition-table solver engine (canonical position \
-             keys, rounds-aware entries; unary instances take the arithmetic \
-             fast path).")
-
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"J"
        ~doc:"Fan the pair checks of --scan, --frontier and --classes (or a \
              shard's pairs) out over J worker domains sharing one \
-             transposition table. Implies --cache when J > 1. A word pair \
-             is decided on one domain: J > 1 with two words is a usage \
-             error.")
+             transposition table. A word pair is decided on one domain: \
+             J > 1 with two words is a usage error.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
@@ -1149,7 +1165,7 @@ let table_arg =
        ~doc:"Persist the transposition table to $(docv): periodic \
              checkpoints during a scan (see --checkpoint) plus a final \
              save. Only exact verdicts are written, so reloaded tables \
-             are sound regardless of budget. Implies --cache.")
+             are sound regardless of budget.")
 
 let resume_arg =
   Arg.(value & flag & info [ "resume" ]
@@ -1249,7 +1265,7 @@ let common =
 
 let main_term =
   Term.(const run $ common $ words_arg $ rounds_arg $ explain_arg $ budget_arg $ scan_arg
-        $ classes_arg $ frontier_arg $ max_arg $ cache_arg $ jobs_arg $ stats_arg
+        $ classes_arg $ frontier_arg $ max_arg $ jobs_arg $ stats_arg
         $ table_arg $ resume_arg $ salvage_arg $ checkpoint_arg $ deadline_arg
         $ faults_arg $ json_arg $ trace_arg $ metrics_arg $ telemetry_arg
         $ telemetry_interval_arg $ flight_arg)

@@ -459,51 +459,6 @@ let work_one ~cfg ~stop ~owner ~hb lease ~how shard m summary =
               Atomic.incr hb.Heartbeat.requeued;
               (`Continue, { summary with requeued = summary.requeued + 1 })))
 
-(* Elastic join: a worker arriving in an already-crowded fleet (more
-   fresh heartbeats than pending shards) staggers its first claim sweep
-   by a jittered beat instead of piling onto the contention. Purely a
-   throughput courtesy — claims stay safe at any arrival rate. *)
-let join_stagger ~cfg ~owner =
-  let st = Store.active () in
-  let observed, _ = Heartbeat.list ~dir:cfg.dir in
-  let now = st.Store.now () in
-  let fresh =
-    List.length
-      (List.filter
-         (fun (o : Heartbeat.observed) ->
-           let age =
-             match o.Heartbeat.ob_mtime with
-             | Some m -> now -. m
-             | None -> now -. o.Heartbeat.ob_view.Heartbeat.v_now
-           in
-           age <= Top.default_stale_after)
-         observed)
-  in
-  match Manifest.load ~dir:cfg.dir with
-  | Error _ -> ()
-  | Ok m ->
-      let pending =
-        Array.fold_left
-          (fun acc s ->
-            match Manifest.state ~dir:cfg.dir ~ttl:cfg.ttl s with
-            | Manifest.Pending -> acc + 1
-            | _ -> acc)
-          0 m.Manifest.shards
-      in
-      if fresh > pending && pending >= 0 then begin
-        let cap = Float.min (cfg.ttl /. 2.) 2.0 in
-        let j =
-          Rt.Backoff.stream
-            ~seed:(Hashtbl.hash owner land 0x3fffffff)
-            ~base_s:0.05 ~max_s:cap ()
-        in
-        let d = Float.min cap (Rt.Backoff.next j *. float_of_int fresh) in
-        Obs.Log.info ~tag:"dist"
-          "fleet crowded (%d fresh workers, %d pending shards); staggering \
-           join by %.2fs" fresh pending d;
-        Unix.sleepf d
-      end
-
 let run ?(stop = fun () -> false) cfg =
   (* the manifest read itself must survive a transient store fault:
      losing the whole worker to one EIO blip defeats the fleet *)
@@ -532,7 +487,6 @@ let run ?(stop = fun () -> false) cfg =
           Some (Obs.Telemetry.ticker ~interval publish)
         else None
       in
-      join_stagger ~cfg ~owner;
       let n = Array.length m.Manifest.shards in
       (* start the sweep at an owner-dependent offset so N workers
          launched together don't all stampede shard 0 *)

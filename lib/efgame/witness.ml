@@ -5,7 +5,7 @@ let unary n = String.make n 'a'
    p50/p95/p99 the telemetry snapshots report. *)
 let m_pair_ns = Obs.Metrics.timer "solve.pair_ns"
 
-type engine = Seed | Cached of Cache.t | Parallel of Cache.t * int
+type engine = Cached of Cache.t | Parallel of Cache.t * int
 
 type scan_outcome =
   | Found of int * int
@@ -22,10 +22,12 @@ type scan_stats = {
 }
 
 let engine_cache = function
-  | Seed -> None
-  | Cached c | Parallel (c, _) -> Some c
+  | None -> None
+  | Some (Cached c | Parallel (c, _)) -> Some c
 
-let engine_jobs = function Seed | Cached _ -> 1 | Parallel (_, j) -> max 1 j
+let engine_jobs = function
+  | None | Some (Cached _) -> 1
+  | Some (Parallel (_, j)) -> max 1 j
 
 let verdict_of_result = function
   | Some true -> Game.Equiv
@@ -33,41 +35,37 @@ let verdict_of_result = function
   | None -> Game.Unknown
 
 (* Decide [a^p ≡_k a^q] under the given engine, also reporting the number
-   of search nodes expanded. Cached/Parallel engines send every pair to
-   the arithmetic solver ({!Unary.solve}), ε pairs included: it refutes
-   their root on the letter constant without a node or a table access,
-   as the general solver does, and never builds a word structure. Only
-   a^0 vs a^0, which has no letter at all, and the [Seed] engine take
-   the cache-less general solver. [store_depth] bounds the depth at which
-   the shared table is touched (see {!Unary.solve}); it never affects
-   verdicts. *)
-let decide_pair_counted ?budget ?(engine = Seed) ?(store_depth = max_int) ~k p q
-    =
-  match engine with
-  | (Cached cache | Parallel (cache, _)) when p + q > 0 ->
-      let budget = Option.value budget ~default:50_000_000 in
-      let r, nodes, _ =
-        Unary.solve ~cache ~store_depth ~budget ~p ~q ~init:[] k
-      in
-      (verdict_of_result r, nodes)
-  | _ ->
-      let verdict, st =
-        Game.decide_with_stats ?budget (Game.make (unary p) (unary q)) k
-      in
-      (verdict, st.Game.nodes)
-
-let decide_pair ?budget ?engine ?store_depth ~k p q =
-  fst (decide_pair_counted ?budget ?engine ?store_depth ~k p q)
+   of search nodes expanded. Every pair, ε pairs included, goes to the
+   arithmetic solver ({!Unary.solve}), with the engine's table if there is
+   one: it refutes an ε root on the letter constant without a node or a
+   table access, and never builds a word structure. Only a^0 vs a^0,
+   which has no letter at all, takes the general solver. [store_depth]
+   bounds the depth at which the shared table is touched (see
+   {!Unary.solve}); it never affects verdicts. *)
+let decide_pair_counted ?budget ?engine ~store_depth ~k p q =
+  if p + q > 0 then
+    let budget = Option.value budget ~default:50_000_000 in
+    let r, nodes, _ =
+      Unary.solve ?cache:(engine_cache engine) ~store_depth ~budget ~p ~q
+        ~init:[] k
+    in
+    (verdict_of_result r, nodes)
+  else
+    let verdict, st = Game.decide_with_stats ?budget (Game.make "" "") k in
+    (verdict, st.Game.nodes)
 
 (* Monotonicity prefilter: Duplicator surviving k rounds survives any
    prefix of the play, so ≡_k ⊆ ≡_j for every j < k. Testing the cheap
    low-round games first refutes most pairs long before the k-round
    search runs; every skip is justified by an exact Not_equiv verdict,
    so exhaustive-scan claims remain sound. *)
-let check_chain_counted ?budget ~engine ?store_depth ~k p q =
+let check_chain_counted ?budget ?engine ~k p q =
   let nodes = ref 0 in
   let decide k' =
-    let v, n = decide_pair_counted ?budget ~engine ?store_depth ~k:k' p q in
+    (* scans store top-level pair verdicts only: within a cold scan
+       deeper entries are never re-reachable (keys embed the pair), and
+       the pair verdicts are what a warm restart replays against *)
+    let v, n = decide_pair_counted ?budget ?engine ~store_depth:0 ~k:k' p q in
     nodes := !nodes + n;
     v
   in
@@ -82,7 +80,8 @@ let check_chain_counted ?budget ~engine ?store_depth ~k p q =
   let v = go (min 1 k) in
   (v, !nodes)
 
-let verify_pair ?budget ?engine ~k p q = decide_pair ?budget ?engine ~k p q
+let verify_pair ?budget ?engine ~k p q =
+  fst (decide_pair_counted ?budget ?engine ~store_depth:max_int ~k p q)
 
 let verify_pair_sound ?budget ?(width = 6) ~k p q =
   Game.equiv ~mode:(Game.Duplicator_limited width) ?budget (unary p) (unary q) k
@@ -136,8 +135,7 @@ let cache_counters engine =
       let s = Cache.stats c in
       (s.Cache.hits, s.Cache.misses)
 
-let scan ?budget ?(engine = Seed) ?(store_depth = 0) ?range ?on_q ?on_tick
-    ?stop ~k ~max_n () =
+let scan ?budget ?engine ?range ?on_q ?on_tick ?stop ~k ~max_n () =
   let total = max_n * (max_n + 1) / 2 in
   let lo, hi = match range with None -> (0, total) | Some (lo, hi) -> (lo, hi) in
   if lo < 0 || hi > total || lo > hi then
@@ -168,7 +166,7 @@ let scan ?budget ?(engine = Seed) ?(store_depth = 0) ?range ?on_q ?on_tick
         ~args:(fun () -> [ ("p", Obs.Trace.I p); ("q", Obs.Trace.I q) ])
         (fun () ->
           Obs.Metrics.time m_pair_ns (fun () ->
-              check_chain_counted ?budget ~engine ~store_depth ~k p q))
+              check_chain_counted ?budget ?engine ~k p q))
     in
     ignore (Atomic.fetch_and_add nodes n);
     match v with
@@ -297,13 +295,11 @@ let partition ~jobs ~decide items =
   if !ok then Some (reps_to_classes reps) else None
 
 let classes ?budget ?engine ~k ~max_n () =
-  let engine = Option.value engine ~default:Seed in
   partition ~jobs:(engine_jobs engine)
-    ~decide:(fun rep n -> decide_pair ?budget ~engine ~k rep n)
+    ~decide:(fun rep n -> verify_pair ?budget ?engine ~k rep n)
     (List.init (max_n + 1) Fun.id)
 
 let classes_words ?budget ?engine ~sigma ~k ~max_len () =
-  let engine = Option.value engine ~default:Seed in
   let cache = engine_cache engine in
   partition ~jobs:(engine_jobs engine)
     ~decide:(fun rep w -> Game.equiv ?budget ?cache ~sigma rep w k)

@@ -2,25 +2,22 @@
     [a^p ≡_k a^q], and ≡_k equivalence classes of initial segments.
 
     Scans run over the linearized (p, q) triangle through the
-    work-stealing {!Scheduler} — pair granularity, no per-q barrier — and
-    under a [Cached]/[Parallel] engine they read and write the shared
-    transposition table, so a table persisted by a previous run
-    ({!Persist}) makes a repeated or resumed scan incremental. A pair is
-    the unit of parallel work: each pair is decided on one domain, and
-    [Parallel] spreads pairs, not moves, across domains. *)
+    work-stealing {!Scheduler} — pair granularity, no per-q barrier.
+    Every pair with p + q ≥ 1 goes to the arithmetic solver
+    ({!Unary.solve}) and never builds a word structure; an ε pair is
+    refuted at its root on the letter constant, with no node and no
+    table access. Only a^0 vs a^0 takes the general solver
+    ({!Game.make}). With no [engine] the solver
+    runs without a transposition table. Under a [Cached]/[Parallel]
+    engine it reads and writes the shared table, so a table persisted by
+    a previous run ({!Persist}) makes a repeated or resumed scan
+    incremental. A pair is the unit of parallel work: each pair is
+    decided on one domain, and [Parallel] spreads pairs, not moves,
+    across domains. *)
 
 type engine =
-  | Seed
-      (** the cache-less general solver on the two words ({!Game.make}),
-          no transposition table: the reference the table engines must
-          agree with *)
   | Cached of Cache.t
-      (** transposition-table-backed search; every pair, ε pairs
-          included, goes to the arithmetic fast path ({!Unary.solve})
-          directly and never builds a word structure. An ε pair is
-          refuted at its root on the letter constant, with no node and
-          no table access. Only a^0 vs a^0 takes the cache-less general
-          solver. *)
+      (** transposition-table-backed search *)
   | Parallel of Cache.t * int
       (** like [Cached], but scans steal pair-granularity chunks of the
           (p, q) triangle across the given number of worker domains
@@ -43,13 +40,12 @@ type scan_stats = {
   nodes : int;  (** solver search nodes expanded, all engines *)
   chunks : int;  (** scheduler chunks claimed *)
   cache_hits : int;  (** transposition-table hits during this scan *)
-  cache_misses : int;  (** and misses; both 0 under [Seed] *)
+  cache_misses : int;  (** and misses; both 0 with no engine *)
 }
 
 val scan :
   ?budget:int ->
   ?engine:engine ->
-  ?store_depth:int ->
   ?range:int * int ->
   ?on_q:(int -> unit) ->
   ?on_tick:(completed:int -> unit) ->
@@ -68,12 +64,11 @@ val scan :
     When a pair is [Found] mid-scan, outstanding work at larger indices
     is cancelled via the scheduler's shrinkable limit; every smaller
     index still completes, so the reported pair is minimal among exact
-    verdicts. [store_depth] (default 0: top-level pair verdicts only)
-    bounds the position depth at which pair solves touch the shared
-    table — verdict-neutral, see {!Unary.solve}. Depth 0 is the sweet
-    spot for scans: within a cold scan deeper entries are never
-    re-reachable (keys embed the pair), while the pair-level verdicts
-    are exactly what a warm restart replays against.
+    verdicts. Pair solves touch the shared table only at their root
+    (position depth 0, see {!Unary.solve}): within a cold scan deeper
+    entries are never re-reachable (keys embed the pair), while the
+    pair-level verdicts are exactly what a warm restart replays
+    against.
 
     [range (lo, hi)] restricts the scan to the half-open index window
     [lo, hi) of the linearized triangle (default: the whole triangle,
@@ -123,9 +118,9 @@ val classes :
 
 val verify_pair :
   ?budget:int -> ?engine:engine -> k:int -> int -> int -> Game.verdict
-(** [verify_pair ~k p q]: decide [a^p ≡_k a^q] with a full search under
-    the chosen engine (default [Seed]). All engines agree on every
-    instance; they differ only in speed. *)
+(** [verify_pair ~k p q]: decide [a^p ≡_k a^q] with a full search, under
+    the chosen engine's table if one is given. With or without a table
+    the verdict is the same; only the speed differs. *)
 
 val verify_pair_sound : ?budget:int -> ?width:int -> k:int -> int -> int -> Game.verdict
 (** One-sided verification using the Duplicator-restricted search (default

@@ -5,7 +5,7 @@
     ran on, and the CI comparison then judged runner timings against
     workstation timings as if they were commensurable. Every report now
     carries this block, and comparisons downgrade to warnings when the
-    environments differ (see the ablation-matrix CI job). *)
+    environments differ (see the bench-smoke CI job). *)
 
 type t = {
   hostname : string;

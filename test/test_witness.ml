@@ -18,7 +18,7 @@ let test_exhausted () =
   | Witness.Interrupted _ -> Alcotest.fail "unexpected interruption"
 
 (* a scan stopped mid-flight reports Interrupted and leaves the cache in
-   a state from which an un-stopped rerun reaches the seed verdict *)
+   a state from which an un-stopped rerun reaches the tableless verdict *)
 let test_interrupted_resume () =
   let cache = Cache.create () in
   let polls = ref 0 in
@@ -32,11 +32,11 @@ let test_interrupted_resume () =
   (match outcome with
   | Witness.Interrupted _ -> ()
   | _ -> Alcotest.fail "expected an interrupted scan");
-  let seed = Witness.minimal_pair ~k:2 ~max_n:20 () in
+  let tableless = Witness.minimal_pair ~k:2 ~max_n:20 () in
   let resumed, _ =
     Witness.scan ~engine:(Witness.Cached cache) ~k:2 ~max_n:20 ()
   in
-  check "resumed scan agrees with a fresh one" true (resumed = seed)
+  check "resumed scan agrees with a fresh one" true (resumed = tableless)
 
 let test_classes_k1 () =
   match Witness.classes ~k:1 ~max_n:7 () with
@@ -52,20 +52,21 @@ let test_verify () =
   check "sound mode never lies" true (Witness.verify_pair_sound ~k:1 2 3 <> Game.Equiv)
 
 (* ε pairs under the table engines go to the arithmetic solver, which
-   refutes their root on the letter constant: the seed's verdict, no
+   refutes their root on the letter constant: the tableless verdict, no
    table entry, no table access, no node *)
 let test_epsilon_pairs () =
   let cached = Cache.create () and parallel = Cache.create () in
   for q = 1 to 12 do
     for k = 0 to 3 do
-      let seed = Witness.verify_pair ~k 0 q in
+      let tableless = Witness.verify_pair ~k 0 q in
       List.iter
         (fun (name, engine) ->
           check
-            (Printf.sprintf "%s agrees with seed on (0, %d) at k=%d" name q k)
+            (Printf.sprintf "%s agrees with tableless on (0, %d) at k=%d" name
+               q k)
             true
-            (Witness.verify_pair ~engine ~k 0 q = seed
-            && Witness.verify_pair ~engine ~k q 0 = seed))
+            (Witness.verify_pair ~engine ~k 0 q = tableless
+            && Witness.verify_pair ~engine ~k q 0 = tableless))
         [
           ("cached", Witness.Cached cached);
           ("parallel", Witness.Parallel (parallel, 2));
@@ -109,9 +110,8 @@ let test_triangle_indexing () =
     done
   done
 
-(* every engine must agree with the seed on outcomes — the scheduler,
-   the transposition table and the arithmetic fast path are all
-   speed-only *)
+(* every engine must agree with the tableless scan on outcomes — the
+   scheduler and the transposition table are both speed-only *)
 let engines () =
   [
     ("cached", Witness.Cached (Cache.create ()));
@@ -122,15 +122,39 @@ let engines () =
 let test_scan_engine_agreement () =
   List.iter
     (fun (k, max_n) ->
-      let seed = Witness.minimal_pair ~k ~max_n () in
+      let tableless = Witness.minimal_pair ~k ~max_n () in
       List.iter
         (fun (name, engine) ->
           let got = Witness.minimal_pair ~engine ~k ~max_n () in
           check
-            (Printf.sprintf "%s agrees with seed at k=%d n<=%d" name k max_n)
-            true (got = seed))
+            (Printf.sprintf "%s agrees with tableless at k=%d n<=%d" name k
+               max_n)
+            true (got = tableless))
         (engines ()))
     [ (1, 6); (1, 3); (2, 14); (2, 8); (3, 24) ]
+
+(* a scan stores only root verdicts, and a cold scan never revisits a
+   root at the same round count, so the table changes no search: with
+   and without one the scan decides the same pairs with the same nodes,
+   and without one it makes no table lookup *)
+let test_scan_tableless_matches_cached () =
+  List.iter
+    (fun (k, max_n) ->
+      let label what = Printf.sprintf "%s at k=%d n<=%d" what k max_n in
+      let outcome, st = Witness.scan ~k ~max_n () in
+      let outcome', st' =
+        Witness.scan ~engine:(Witness.Cached (Cache.create ())) ~k ~max_n ()
+      in
+      check (label "same outcome") true (outcome = outcome');
+      Alcotest.(check (pair int int))
+        (label "same pairs and nodes")
+        (st'.Witness.pairs, st'.Witness.nodes)
+        (st.Witness.pairs, st.Witness.nodes);
+      Alcotest.(check (pair int int))
+        (label "no table traffic without a table")
+        (0, 0)
+        (st.Witness.cache_hits, st.Witness.cache_misses))
+    [ (2, 14); (3, 24) ]
 
 let test_scan_stats () =
   let cache = Cache.create () in
@@ -230,22 +254,24 @@ let test_scan_range_sharded_cover () =
     (frontiers whole = frontiers merged)
 
 let test_classes_engine_agreement () =
-  let seed = Witness.classes ~k:1 ~max_n:7 () in
+  let tableless = Witness.classes ~k:1 ~max_n:7 () in
   List.iter
     (fun (name, engine) ->
       check
         (Printf.sprintf "classes via %s" name)
         true
-        (Witness.classes ~engine ~k:1 ~max_n:7 () = seed))
+        (Witness.classes ~engine ~k:1 ~max_n:7 () = tableless))
     (engines ());
-  let seed_w = Witness.classes_words ~sigma:[ 'a'; 'b' ] ~k:1 ~max_len:3 () in
+  let tableless_w =
+    Witness.classes_words ~sigma:[ 'a'; 'b' ] ~k:1 ~max_len:3 ()
+  in
   List.iter
     (fun (name, engine) ->
       check
         (Printf.sprintf "word classes via %s" name)
         true
         (Witness.classes_words ~engine ~sigma:[ 'a'; 'b' ] ~k:1 ~max_len:3 ()
-        = seed_w))
+        = tableless_w))
     (engines ())
 
 let test_classes_many_classes () =
@@ -273,6 +299,8 @@ let tests =
         test_triangle_indexing;
       Alcotest.test_case "scan: all engines agree with seed" `Quick
         test_scan_engine_agreement;
+      Alcotest.test_case "scan: tableless and cached match on pairs and nodes"
+        `Quick test_scan_tableless_matches_cached;
       Alcotest.test_case "scan statistics are coherent" `Quick test_scan_stats;
       Alcotest.test_case "windowed scans: split, find, resume, reject" `Quick
         test_scan_range;
