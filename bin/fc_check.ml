@@ -4,11 +4,22 @@
      fc_check --formula "forall z. !(z = eps) -> !exists x y. (x = z . y) & (y = z . z)" abab aaa
      fc_check --formula "x in /a*b*/" --free x=aab aabb
      fc_check --formula "exists x y. (x = y . y)" --enumerate 4 --sigma ab
-     fc_check --formula "x in /a*(ba)*/" --compile *)
+     fc_check --formula "x in /a*(ba)*/" --compile
+     fc_check --formula "exists x y. (x = y . y)" --metrics m.json abab aab *)
 
 open Cmdliner
 
-let run formula_src words free enumerate sigma compile quantifier_rank_flag =
+let run formula_src words free enumerate sigma compile quantifier_rank_flag metrics =
+  Option.iter
+    (fun path ->
+      (match Obs.Jsonw.writable path with
+      | Ok () -> ()
+      | Error why ->
+          Format.eprintf "--metrics: cannot write %s: %s@." path why;
+          exit 2);
+      Obs.Metrics.enable ();
+      at_exit (fun () -> Obs.Metrics.dump ~path))
+    metrics;
   match Fc.Parser.parse formula_src with
   | Error msg ->
       Format.eprintf "parse error: %s@." msg;
@@ -122,9 +133,17 @@ let compile_arg =
 
 let qr_arg = Arg.(value & flag & info [ "info" ] ~doc:"Print quantifier rank and size.")
 
+let metrics_arg =
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
+       ~doc:"Enable the Obs counters (fc.quantifier_nodes: quantifier and \
+             free-variable domains enumerated; fc.candidates: candidates the \
+             guides generated for them; fc.unguided: domains that fell back \
+             to the whole universe) and dump the merged snapshot to $(docv) \
+             on exit.")
+
 let cmd =
   Cmd.v
     (Cmd.info "fc_check" ~doc:"Model check FC and FC[REG] formulas over word structures")
-    Term.(const run $ formula_arg $ words_arg $ free_arg $ enumerate_arg $ sigma_arg $ compile_arg $ qr_arg)
+    Term.(const run $ formula_arg $ words_arg $ free_arg $ enumerate_arg $ sigma_arg $ compile_arg $ qr_arg $ metrics_arg)
 
 let () = exit (Cmd.eval cmd)

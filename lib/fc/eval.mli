@@ -10,13 +10,38 @@
     {!Formula.eq_concat} into near-linear joins — a miniature query planner
     — and is what makes formulas like φ_fib checkable on real words.
     A naive (unguided) mode is kept for differential testing and as the
-    ablation baseline. *)
+    ablation baseline.
+
+    {b Evaluation on ids and slots.} Strings exist only at this
+    interface. Each call indexes the structure's word once: a
+    {!Words.Factor_bitset}, its position table id(w[i, i+l)) (O(|w|²)),
+    the ids of the letter constants, and a generation-stamp array.
+    Formulas compile once (bounded cache) after their binders are renamed
+    apart, so every variable has its own slot of an [int array]
+    environment, and each quantifier carries a guide compiled from its
+    body. An atom t₁ ≐ t₂·t₃ is a length check plus two table lookups;
+    candidate generators emit ids from the table and deduplicate them
+    with the stamps.
+
+    {b ⊥.} A value is a factor id or ⊥: an absent letter constant, or a
+    [~env] binding that is not a factor of the word. ⊥ falsifies every
+    atom it occurs in, [Eq] and [Mem] alike (so a negated atom holds).
+    On [Eq] atoms this is what a string reading gives anyway, since a
+    concatenation equal to a factor has factors for parts; a [Mem] atom
+    does not test a non-factor binding against its regular expression.
+
+    {b Observability.} The counters [fc.quantifier_nodes] (quantifier and
+    free-variable domains enumerated), [fc.candidates] (candidates the
+    guides generated for them) and [fc.unguided] (domains that fell back to
+    the whole universe) cost one atomic load each while {!Obs.Metrics} is
+    disabled. *)
 
 type env = (string * string) list
 (** Partial assignment from variables to factors. *)
 
 val term_value : Structure.t -> env -> Term.t -> string option
-(** [None] is ⊥ (an absent letter constant, or an unbound variable). *)
+(** The string reading of a term: [None] is ⊥ (an absent letter
+    constant, or an unbound variable). *)
 
 val holds : ?env:env -> Structure.t -> Formula.t -> bool
 (** [holds st φ]: (𝔄_w, σ) ⊨ φ. Free variables of [φ] must be bound by

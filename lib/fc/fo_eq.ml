@@ -49,32 +49,97 @@ let free_vars f = List.sort_uniq String.compare (free_vars_raw f)
 
 type env = (string * int) list
 
+(* Compiled formulas: every variable is a slot of an [int array]. The
+   [~env] names get the first slots, and every binder a slot of its own,
+   so an inner binder that shadows an outer name never overwrites it. *)
+type slot = int
+
+type compiled =
+  | CTrue
+  | CFalse
+  | CLess of slot * slot
+  | CEq of slot * slot
+  | CLetter of char * slot
+  | CFactor_eq of slot * slot * slot * slot
+  | CUnbound of string  (** an atom that reads a variable nobody binds *)
+  | CNot of compiled
+  | CAnd of compiled * compiled
+  | COr of compiled * compiled
+  | CExists of slot * compiled
+  | CForall of slot * compiled
+
+let compile env f =
+  let next = ref 0 in
+  let fresh () =
+    let s = !next in
+    incr next;
+    s
+  in
+  (* the first binding of a name in [env] wins, as with [List.assoc] *)
+  let scope =
+    List.fold_left
+      (fun sc (x, _) -> if List.mem_assoc x sc then sc else sc @ [ (x, fresh ()) ])
+      [] env
+  in
+  let rec go sc f =
+    let atom xs make =
+      match List.find_opt (fun x -> not (List.mem_assoc x sc)) xs with
+      | Some x -> CUnbound x
+      | None -> make (fun x -> List.assoc x sc)
+    in
+    match f with
+    | True -> CTrue
+    | False -> CFalse
+    | Less (x, y) -> atom [ x; y ] (fun s -> CLess (s x, s y))
+    | Eq (x, y) -> atom [ x; y ] (fun s -> CEq (s x, s y))
+    | Letter (c, x) -> atom [ x ] (fun s -> CLetter (c, s x))
+    | Factor_eq (a, b, c, d) -> atom [ a; b; c; d ] (fun s -> CFactor_eq (s a, s b, s c, s d))
+    | Not f -> CNot (go sc f)
+    | And (a, b) -> CAnd (go sc a, go sc b)
+    | Or (a, b) -> COr (go sc a, go sc b)
+    | Exists (x, f) ->
+        let s = fresh () in
+        CExists (s, go ((x, s) :: sc) f)
+    | Forall (x, f) ->
+        let s = fresh () in
+        CForall (s, go ((x, s) :: sc) f)
+  in
+  let c = go scope f in
+  let slots = Array.make !next 0 in
+  List.iter (fun (x, s) -> slots.(s) <- List.assoc x env) scope;
+  (c, slots)
+
 let holds ?(env = []) w f =
   let n = String.length w in
-  let pos x e =
-    match List.assoc_opt x e with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Fo_eq.holds: unbound variable %s" x)
+  let c, pos = compile env f in
+  (* w[i1..j1] = w[i2..j2], inclusive, compared in place; an interval
+     with j < i is ε *)
+  let factor_eq i1 j1 i2 j2 =
+    let l = max 0 (j1 - i1 + 1) in
+    l = max 0 (j2 - i2 + 1)
+    &&
+    let rec same k = k = l || (w.[i1 + k] = w.[i2 + k] && same (k + 1)) in
+    same 0
   in
-  let interval i j = if j < i then "" else String.sub w i (j - i + 1) in
-  let rec eval e = function
-    | True -> true
-    | False -> false
-    | Less (x, y) -> pos x e < pos y e
-    | Eq (x, y) -> pos x e = pos y e
-    | Letter (c, x) -> w.[pos x e] = c
-    | Factor_eq (x1, y1, x2, y2) -> interval (pos x1 e) (pos y1 e) = interval (pos x2 e) (pos y2 e)
-    | Not f -> not (eval e f)
-    | And (a, b) -> eval e a && eval e b
-    | Or (a, b) -> eval e a || eval e b
-    | Exists (x, f) ->
-        let rec scan i = i < n && (eval ((x, i) :: e) f || scan (i + 1)) in
+  let rec eval = function
+    | CTrue -> true
+    | CFalse -> false
+    | CLess (x, y) -> pos.(x) < pos.(y)
+    | CEq (x, y) -> pos.(x) = pos.(y)
+    | CLetter (c, x) -> w.[pos.(x)] = c
+    | CFactor_eq (x1, y1, x2, y2) -> factor_eq pos.(x1) pos.(y1) pos.(x2) pos.(y2)
+    | CUnbound x -> invalid_arg (Printf.sprintf "Fo_eq.holds: unbound variable %s" x)
+    | CNot f -> not (eval f)
+    | CAnd (a, b) -> eval a && eval b
+    | COr (a, b) -> eval a || eval b
+    | CExists (s, f) ->
+        let rec scan i = i < n && ((pos.(s) <- i; eval f) || scan (i + 1)) in
         scan 0
-    | Forall (x, f) ->
-        let rec scan i = i >= n || (eval ((x, i) :: e) f && scan (i + 1)) in
+    | CForall (s, f) ->
+        let rec scan i = i >= n || ((pos.(s) <- i; eval f) && scan (i + 1)) in
         scan 0
   in
-  eval env f
+  eval c
 
 let language_member f w =
   if free_vars f <> [] then invalid_arg "Fo_eq.language_member: free variables";

@@ -8,7 +8,12 @@
     expressive power as FC; the Feferman-Vaught argument of
     Freydenberger–Peterfreund runs over FO[EQ], whereas this paper's games
     run over FC directly. The module exists to compare the two executable
-    semantics on concrete languages. *)
+    semantics on concrete languages.
+
+    {!holds} compiles the formula to slots of an [int array]: the [~env]
+    names first, then one slot per binder, so a binder that shadows an
+    outer name (or an [~env] name) never overwrites it. [Factor_eq]
+    compares the two intervals character by character in place. *)
 
 type t =
   | True
@@ -44,7 +49,9 @@ type env = (string * int) list
 
 val holds : ?env:env -> string -> t -> bool
 (** Positions range over [0 .. length w − 1]; over ε, ∃ is false and ∀ is
-    true. *)
+    true. [~env] positions should lie in that range too; the first binding
+    of a name wins. An atom that reads a variable neither quantified nor
+    bound by [~env] raises [Invalid_argument] when it is evaluated. *)
 
 val language_member : t -> string -> bool
 (** For sentences. *)

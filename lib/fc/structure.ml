@@ -26,10 +26,6 @@ let const_value t c =
 let constant_vector t =
   List.map (fun c -> (String.make 1 c, const_value t c)) t.sigma @ [ ("\xce\xb5", Some "") ]
 
-let concat_in t u v =
-  let w = u ^ v in
-  if mem t w then Some w else None
-
 let pp ppf t =
   Format.fprintf ppf "𝔄_%a (Σ = {%a}, %d factors)" Words.Word.pp t.word
     (Format.pp_print_list

@@ -30,8 +30,4 @@ val constant_vector : t -> (string * string option) list
     order, then ε — as (name, value-or-⊥) pairs. Used by games, where the
     constant vector is appended to the players' choices. *)
 
-val concat_in : t -> string -> string -> string option
-(** [concat_in t u v]: [Some (u ^ v)] when the concatenation is a factor of
-    the word, [None] otherwise. *)
-
 val pp : Format.formatter -> t -> unit

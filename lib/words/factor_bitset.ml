@@ -3,7 +3,8 @@
    concatenation and affix queries all answered by automaton walks over
    the original word — no substring is ever materialized on a query
    path. The packed solver engine ({!Efgame.Packed}) manipulates factors
-   exclusively through these ids. *)
+   exclusively through these ids, and the FC model checker ({!Fc.Eval})
+   evaluates on them. *)
 
 type t = {
   word : string;
@@ -128,6 +129,18 @@ let walk_range t st off len =
       | None -> -1
   in
   go st 0
+
+let position_ids t =
+  (* one walk per start offset: row [i] reads w[i..] once, O(|w|²) *)
+  let n = String.length t.word in
+  Array.init (n + 1) (fun i ->
+      let row = Array.make (n - i + 1) 0 in
+      let st = ref 0 in
+      for l = 1 to n - i do
+        st := Option.get (Suffix_automaton.step t.sa !st t.word.[i + l - 1]);
+        row.(l) <- id_at t !st l
+      done;
+      row)
 
 let id_of_sub t s ~off ~len =
   (* membership of a substring of a foreign string: same walk as [id_of]

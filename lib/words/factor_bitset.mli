@@ -7,9 +7,10 @@
     — membership, concatenation, affix tests — are automaton walks or
     character comparisons against the original word; no query ever
     allocates a substring. This is the factor representation of the
-    solver engine ({!Efgame.Packed}); the explicit string-keyed
-    {!Factors} set backs {!Fc.Structure}, and the two are differentially
-    tested against each other.
+    solver engine ({!Efgame.Packed}) and of the FC model checker
+    ({!Fc.Eval}, which adds the {!position_ids} table); the explicit
+    string-keyed {!Factors} set backs {!Fc.Structure}, and the two are
+    differentially tested against each other.
 
     Ids are {e not} ordered by length or lexicographically (they follow
     automaton state numbering); callers needing a semantic order sort ids
@@ -28,6 +29,12 @@ val size : t -> int
 
 val id_of : t -> string -> int option
 (** O(|u|) membership + interning walk. [id_of t "" = Some 0]. *)
+
+val position_ids : t -> int array array
+(** [(position_ids t).(i).(l)] is the id of [w[i .. i+l-1]] for
+    [0 <= i <= |w|] and [0 <= l <= |w| - i] (row [i] has [|w| - i + 1]
+    entries). One automaton walk per start offset, O(|w|²); not part of
+    {!of_word}, so indexes that never ask for it do not pay for it. *)
 
 val id_of_sub : t -> string -> off:int -> len:int -> int
 (** Id of the substring [s.[off .. off+len-1]] of a foreign string [s],

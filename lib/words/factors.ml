@@ -3,7 +3,6 @@ type t = {
   by_id : string array; (* length-lex sorted, index = id *)
   ids : (string, int) Hashtbl.t;
   concat_memo : (int * int, int option) Hashtbl.t;
-  affix_memo : (bool * string, string list) Hashtbl.t;
 }
 
 let of_word word =
@@ -19,7 +18,7 @@ let of_word word =
   let by_id = Array.of_list (List.sort Word.compare_length_lex all) in
   let ids = Hashtbl.create (Array.length by_id) in
   Array.iteri (fun i f -> Hashtbl.add ids f i) by_id;
-  { word; by_id; ids; concat_memo = Hashtbl.create 256; affix_memo = Hashtbl.create 16 }
+  { word; by_id; ids; concat_memo = Hashtbl.create 256 }
 
 let word t = t.word
 let size t = Array.length t.by_id
@@ -42,34 +41,6 @@ let concat_id t i j =
       let r = id_of t (factor_of t i ^ factor_of t j) in
       Hashtbl.add t.concat_memo (i, j) r;
       r
-
-let with_prefix t p =
-  match Hashtbl.find_opt t.affix_memo (true, p) with
-  | Some r -> r
-  | None ->
-      let n = String.length t.word in
-      let result =
-        Word.occurrences ~pattern:p t.word
-        |> List.concat_map (fun o ->
-               List.init (n - o - String.length p + 1) (fun l ->
-                   String.sub t.word o (String.length p + l)))
-        |> List.sort_uniq Word.compare_length_lex
-      in
-      Hashtbl.add t.affix_memo (true, p) result;
-      result
-
-let with_suffix t s =
-  match Hashtbl.find_opt t.affix_memo (false, s) with
-  | Some r -> r
-  | None ->
-      let result =
-        Word.occurrences ~pattern:s t.word
-        |> List.concat_map (fun o ->
-               List.init (o + 1) (fun i -> String.sub t.word i (o + String.length s - i)))
-        |> List.sort_uniq Word.compare_length_lex
-      in
-      Hashtbl.add t.affix_memo (false, s) result;
-      result
 
 let inter a b =
   let smaller, larger = if size a <= size b then (a, b) else (b, a) in

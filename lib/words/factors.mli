@@ -1,8 +1,10 @@
 (** Factor sets: the set [Facs(w)] of all factors of a word, with interning.
 
     The universe of the τ_Σ-structure 𝔄_w is [Facs(w) ∪ {⊥}]; this module
-    provides the [Facs(w)] part as an indexed set so that factors can be
-    manipulated as small integers by the game solver and the model checker. *)
+    provides the [Facs(w)] part as an indexed, string-keyed set (the
+    universe and membership of {!Fc.Structure}). The game solver and the
+    model checker compute on the suffix-automaton ids of
+    {!Factor_bitset} instead. *)
 
 type t
 (** An immutable factor set of some word, with O(1) membership and
@@ -35,12 +37,6 @@ val fold : ('a -> string -> 'a) -> 'a -> t -> 'a
 val concat_id : t -> int -> int -> int option
 (** [concat_id t i j] is the id of [factor i ^ factor j] when that
     concatenation is itself a factor, and [None] otherwise. Memoized. *)
-
-val with_prefix : t -> string -> string list
-(** All factors having the given prefix, length-lex sorted. Memoized. *)
-
-val with_suffix : t -> string -> string list
-(** All factors having the given suffix, length-lex sorted. Memoized. *)
 
 val inter : t -> t -> string list
 (** Factors common to both sets, in length-lexicographic order. *)
