@@ -12,6 +12,13 @@
      whenever they fit in 62 bits, falling back to int-array keys (the
      number of played pairs is a function of remaining rounds, so the
      variable-width encoding is unambiguous within a table);
+   - the last round reads the entries' concatenation patterns from flat
+     per-side tables in the scratch ([patbuf]: xᵢ·xⱼ, quotients, √xᵢ),
+     filled once per closed-form call, so its closure moves compare ints
+     instead of probing the concatenation memo;
+   - the candidate orders' lexicographic ranks and cross-word maps are
+     built on the first candidate order a solve asks for; a 1-round
+     solve never builds them;
    - shared-{!Cache} traffic uses {!Position} string keys, built only
      where a solver touches the table. *)
 
@@ -40,11 +47,17 @@ type scratch = {
   ar : Arena.t;
   mutable keybuf : int array;
   mutable w1buf : int array; (* closure of the last-round closed forms *)
+  mutable patbuf : int array; (* pattern tables of [last_round] *)
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { ar = Arena.create (); keybuf = Array.make 16 0; w1buf = Array.make 64 0 })
+      {
+        ar = Arena.create ();
+        keybuf = Array.make 16 0;
+        w1buf = Array.make 64 0;
+        patbuf = Array.make 64 0;
+      })
 
 let scratch () = Domain.DLS.get scratch_key
 let scratch_arena () = (scratch ()).ar
@@ -55,6 +68,9 @@ let ensure_keybuf s n =
 
 let ensure_w1buf s n =
   if Array.length s.w1buf < n then s.w1buf <- Array.make (max 64 (2 * n)) 0
+
+let ensure_patbuf s n =
+  if Array.length s.patbuf < n then s.patbuf <- Array.make (max 64 (2 * n)) 0
 
 (* ------------------------------------------------------------------ *)
 (* Position memo: one table per remaining-round count. Within a table
@@ -147,7 +163,7 @@ let fill_sorted_pairs s ar ~nconsts ~rbits =
 
 type gside = {
   fb : Factor_bitset.t;
-  lexrank : int array; (* id -> rank in String.compare order *)
+  lexrank : int array Lazy.t; (* id -> rank in String.compare order *)
   wlen : int;
 }
 
@@ -158,8 +174,8 @@ type gstate = {
   consts_r : int array;
   moves_l : int array; (* Spoiler moves, longest first (desc len, lex) *)
   moves_r : int array;
-  xmap_lr : int array; (* left id -> right id of the same string, or -1 *)
-  xmap_rl : int array;
+  xmap_lr : int array Lazy.t; (* left id -> right id of the same string, or -1 *)
+  xmap_rl : int array Lazy.t;
   cand_l : int array option array; (* response order per left move *)
   cand_r : int array option array;
   lbits : int;
@@ -187,13 +203,20 @@ let cmp_desc_len fb i j =
   let c = compare (Factor_bitset.length fb j) (Factor_bitset.length fb i) in
   if c <> 0 then c else cmp_lex fb i j
 
+(* [lexrank] and the cross maps are read only by [build_candidates]:
+   built on its first call, never for a 1-round solve. A gstate belongs
+   to one solver, so no two domains force the same lazy value. *)
 let make_gside w =
   let fb = Factor_bitset.of_word w in
-  let size = Factor_bitset.size fb in
-  let ids = Array.init size Fun.id in
-  Array.sort (cmp_lex fb) ids;
-  let lexrank = Array.make size 0 in
-  Array.iteri (fun rank id -> lexrank.(id) <- rank) ids;
+  let lexrank =
+    lazy
+      (let size = Factor_bitset.size fb in
+       let ids = Array.init size Fun.id in
+       Array.sort (cmp_lex fb) ids;
+       let lexrank = Array.make size 0 in
+       Array.iteri (fun rank id -> lexrank.(id) <- rank) ids;
+       lexrank)
+  in
   { fb; lexrank; wlen = String.length w }
 
 let const_ids fb proj consts =
@@ -262,8 +285,8 @@ let make_gstate left right consts =
     consts_r = const_ids gr.fb snd consts;
     moves_l = movable gl (const_ids gl.fb fst consts);
     moves_r = movable gr (const_ids gr.fb snd consts);
-    xmap_lr = cross_map gl gr;
-    xmap_rl = cross_map gr gl;
+    xmap_lr = lazy (cross_map gl gr);
+    xmap_rl = lazy (cross_map gr gl);
     cand_l = Array.make fl None;
     cand_r = Array.make fr None;
     lbits = bits_for (max 1 (fl - 1));
@@ -284,7 +307,8 @@ let build_candidates ~from_ ~to_ ~xmap a =
   let lf = from_.wlen and lt = to_.wlen in
   let apre = Factor_bitset.is_word_prefix from_.fb a in
   let asuf = Factor_bitset.is_word_suffix from_.fb a in
-  let xa = xmap.(a) in
+  let xa = (Lazy.force xmap).(a) in
+  let lexrank = Lazy.force to_.lexrank in
   let arr =
     Array.init ft (fun r ->
         let key =
@@ -298,7 +322,7 @@ let build_candidates ~from_ ~to_ ~xmap a =
             let mirror = abs (lt - lr - (lf - la)) in
             let direct = abs (lr - la) in
             let dist = if mirror < direct then mirror else direct in
-            1 + (((pen * (lf + lt + 1)) + dist) * ft) + to_.lexrank.(r)
+            1 + (((pen * (lf + lt + 1)) + dist) * ft) + lexrank.(r)
         in
         (key lsl rbits) lor r)
   in
@@ -457,24 +481,116 @@ let ext_ok_exist st ar nl nr =
      own side, i.e. lies outside the reply side's closure: Duplicator
      survives the generic moves iff, when the mover's closure misses a
      factor, the reply side's closure misses one too.
-   [seen_l] / [seen_r] are all-clear bitsets over each side's ids on
-   entry and on return. No node or metric accounting inside: the leaves
-   below the closed form are not visited, as in the unary solver. *)
+   Every pattern above is a function of the entries alone, so both
+   sides' pattern tables are filled once per call ([fill_patterns]);
+   the closure is read off them in the order entries, then per i the
+   (xᵢ·xⱼ, lq, rq) of each j, then √xᵢ, and each closure move is
+   checked by [ext_ok_tab], which compares ints instead of probing the
+   concatenation memo. [seen_l] / [seen_r] are all-clear bitsets over
+   each side's ids on entry and on return. The only accounting inside
+   is one [m_refuted] or [m_generic_mismatch] bump per losing call: the
+   leaves below the closed form are not visited, as in the unary
+   solver. *)
 exception Refuted
+
+let m_refuted = Obs.Metrics.counter "game.last_round.refuted"
+
+let m_generic_mismatch =
+  Obs.Metrics.counter "game.last_round.generic_mismatch"
+
+(* the id of u when x = u·u, else -1 *)
+let halves fb x =
+  let l = Factor_bitset.length fb x in
+  if l land 1 = 0 then
+    let h = Factor_bitset.sub_id fb x ~off:0 ~len:(l / 2) in
+    if Factor_bitset.is_suffix_of fb h x then h else -1
+  else -1
+
+(* One side's pattern tables over its [len] entries [xs], written to [t]
+   from [base]: with m = len², cat at [base + i·len + j] (xᵢ·xⱼ), lq at
+   [+ m] (xᵢ with suffix xⱼ removed), rq at [+ 2m] (xᵢ with prefix xⱼ
+   removed) and half at [base + 3m + i] (√xᵢ). -1 marks a pattern that
+   is undefined or involves ⊥. *)
+let fill_patterns t ~base fb xs len =
+  let m = len * len in
+  for i = 0 to len - 1 do
+    let xi = xs.(i) in
+    for j = 0 to len - 1 do
+      let xj = xs.(j) in
+      let c = base + (i * len) + j in
+      if xi < 0 || xj < 0 then begin
+        t.(c) <- -1;
+        t.(c + m) <- -1;
+        t.(c + (2 * m)) <- -1
+      end
+      else begin
+        let li = Factor_bitset.length fb xi and lj = Factor_bitset.length fb xj in
+        t.(c) <- Factor_bitset.concat fb xi xj;
+        t.(c + m) <-
+          (if Factor_bitset.is_suffix_of fb xj xi then
+             Factor_bitset.sub_id fb xi ~off:0 ~len:(li - lj)
+           else -1);
+        t.(c + (2 * m)) <-
+          (if Factor_bitset.is_prefix_of fb xj xi then
+             Factor_bitset.sub_id fb xi ~off:lj ~len:(li - lj)
+           else -1)
+      end
+    done;
+    t.(base + (3 * m) + i) <- (if xi >= 0 then halves fb xi else -1)
+  done
+
+(* [ext_ok st ar nl nr] read off the pattern tables (left side at 0,
+   right side at [rb]), for nl, nr >= 0. The triples with the new
+   element once are n = xᵢ·xⱼ, xᵢ = n·xⱼ and xᵢ = xⱼ·n: one table
+   comparison each. With it twice or three times they are n = n·xᵢ and
+   n = xᵢ·n (xᵢ = ε), xᵢ = n·n (n = √xᵢ) and n = n·n (n = ε). *)
+let ext_ok_tab t ~rb ~len xl xr nl nr =
+  let m = len * len in
+  let rec pairs i =
+    i >= len || ((nl = xl.(i)) = (nr = xr.(i)) && pairs (i + 1))
+  in
+  pairs 0
+  && (nl = 0) = (nr = 0)
+  &&
+  let ok = ref true in
+  let i = ref 0 in
+  while !ok && !i < len do
+    let h = (3 * m) + !i in
+    if
+      (xl.(!i) = 0) <> (xr.(!i) = 0)
+      || (nl = t.(h)) <> (nr = t.(rb + h))
+    then ok := false;
+    let j = ref 0 in
+    while !ok && !j < len do
+      let c = (!i * len) + !j in
+      if
+        (nl = t.(c)) <> (nr = t.(rb + c))
+        || (nl = t.(c + m)) <> (nr = t.(rb + c + m))
+        || (nl = t.(c + (2 * m))) <> (nr = t.(rb + c + (2 * m)))
+      then ok := false;
+      incr j
+    done;
+    incr i
+  done;
+  !ok
 
 let last_round s st ar ~seen_l ~seen_r =
   let len = Arena.len ar in
+  let m = len * len in
   (* distinct closure elements: the entries, three per entry pair, and
      one square root per entry *)
   ensure_w1buf s (len * ((3 * len) + 2));
-  let buf = s.w1buf in
+  let stride = (3 * m) + len in
+  ensure_patbuf s (2 * stride);
+  let buf = s.w1buf and t = s.patbuf in
+  let xl = Arena.col_a ar and xr = Arena.col_b ar in
+  fill_patterns t ~base:0 st.gl.fb xl len;
+  fill_patterns t ~base:stride st.gr.fb xr len;
   (* [Some generic] when every closure move on the [swap]-oriented mover
      side survives; [generic]: the closure misses some factor *)
   let side ~swap =
-    let from_, to_ = if swap then (st.gr, st.gl) else (st.gl, st.gr) in
-    let ffb = from_.fb and tfb = to_.fb in
-    let xs = if swap then Arena.col_b ar else Arena.col_a ar in
-    let ys = if swap then Arena.col_a ar else Arena.col_b ar in
+    let mb, rb = if swap then (stride, 0) else (0, stride) in
+    let xs = if swap then xr else xl in
     let seen = if swap then seen_r else seen_l in
     let n = ref 0 in
     let fresh a =
@@ -486,19 +602,18 @@ let last_round s st ar ~seen_l ~seen_r =
            true
          end
     in
-    (* a closure move with its forced reply r (-1: none exists) *)
-    let move a r =
+    (* the closure move at table offset c, with its forced reply (-1:
+       none exists) at the same offset on the reply side *)
+    let move c =
+      let a = t.(mb + c) and r = t.(rb + c) in
       if
-        fresh a
-        && not (r >= 0 && if swap then ext_ok st ar r a else ext_ok st ar a r)
+        a >= 0 && fresh a
+        && not
+             (r >= 0
+             &&
+             if swap then ext_ok_tab t ~rb:stride ~len xl xr r a
+             else ext_ok_tab t ~rb:stride ~len xl xr a r)
       then raise Refuted
-    in
-    let halves fb x =
-      let l = Factor_bitset.length fb x in
-      if l land 1 = 0 then
-        let h = Factor_bitset.sub_id fb x ~off:0 ~len:(l / 2) in
-        if Factor_bitset.is_suffix_of fb h x then h else -1
-      else -1
     in
     let generate () =
       for i = 0 to len - 1 do
@@ -506,57 +621,36 @@ let last_round s st ar ~seen_l ~seen_r =
         if x >= 0 then ignore (fresh x)
       done;
       for i = 0 to len - 1 do
-        let xi = xs.(i) and yi = ys.(i) in
-        if xi >= 0 then begin
-          let li = Factor_bitset.length ffb xi in
-          let lyi = if yi >= 0 then Factor_bitset.length tfb yi else 0 in
-          for j = 0 to len - 1 do
-            let xj = xs.(j) and yj = ys.(j) in
-            if xj >= 0 then begin
-              let ydef = yi >= 0 && yj >= 0 in
-              let a = Factor_bitset.concat ffb xi xj in
-              if a >= 0 then
-                move a (if ydef then Factor_bitset.concat tfb yi yj else -1);
-              let lj = Factor_bitset.length ffb xj in
-              let lyj = if yj >= 0 then Factor_bitset.length tfb yj else 0 in
-              (* xi = a · xj *)
-              if Factor_bitset.is_suffix_of ffb xj xi then
-                move
-                  (Factor_bitset.sub_id ffb xi ~off:0 ~len:(li - lj))
-                  (if ydef && Factor_bitset.is_suffix_of tfb yj yi then
-                     Factor_bitset.sub_id tfb yi ~off:0 ~len:(lyi - lyj)
-                   else -1);
-              (* xi = xj · a *)
-              if Factor_bitset.is_prefix_of ffb xj xi then
-                move
-                  (Factor_bitset.sub_id ffb xi ~off:lj ~len:(li - lj))
-                  (if ydef && Factor_bitset.is_prefix_of tfb yj yi then
-                     Factor_bitset.sub_id tfb yi ~off:lyj ~len:(lyi - lyj)
-                   else -1)
-            end
-          done;
-          (* xi = a · a *)
-          let h = halves ffb xi in
-          if h >= 0 then move h (if yi >= 0 then halves tfb yi else -1)
-        end
+        for j = 0 to len - 1 do
+          let c = (i * len) + j in
+          move c;
+          move (c + m);
+          move (c + (2 * m))
+        done;
+        move ((3 * m) + i)
       done
     in
+    let mfb = if swap then st.gr.fb else st.gl.fb in
     let r =
       match generate () with
-      | () -> Some (!n < Factor_bitset.size ffb)
+      | () -> Some (!n < Factor_bitset.size mfb)
       | exception Refuted -> None
     in
-    for t = 0 to !n - 1 do
-      Factor_bitset.Bitset.remove seen buf.(t)
+    for e = 0 to !n - 1 do
+      Factor_bitset.Bitset.remove seen buf.(e)
     done;
     r
   in
+  let lost c =
+    Obs.Metrics.incr c;
+    false
+  in
   match side ~swap:false with
-  | None -> false
+  | None -> lost m_refuted
   | Some generic_l -> (
       match side ~swap:true with
-      | None -> false
-      | Some generic_r -> generic_l = generic_r)
+      | None -> lost m_refuted
+      | Some generic_r -> generic_l = generic_r || lost m_generic_mismatch)
 
 let factor_id fb v =
   match Factor_bitset.id_of fb v with

@@ -59,10 +59,15 @@ type scratch = {
   ar : Arena.t;
   mutable keybuf : int array;
   mutable w1buf : int array;
+  mutable patbuf : int array;
 }
 (** Per-domain solve scratch: the arena, the sort buffer
-    {!fill_sorted_pairs} writes, and the last-round closed forms'
-    closure buffer (unary and general). *)
+    {!fill_sorted_pairs} writes, the last-round closed forms' closure
+    buffer (unary and general), and the general last round's pattern
+    tables: for each side, the pebbled entries' xᵢ·xⱼ, xᵢ with suffix
+    xⱼ removed, xᵢ with prefix xⱼ removed and √xᵢ, each -1 when
+    undefined or over ⊥. All grow on demand and are overwritten by the
+    next solve on the domain. *)
 
 val scratch : unit -> scratch
 

@@ -2,7 +2,6 @@ type t = {
   word : string;
   by_id : string array; (* length-lex sorted, index = id *)
   ids : (string, int) Hashtbl.t;
-  concat_memo : (int * int, int option) Hashtbl.t;
 }
 
 let of_word word =
@@ -18,7 +17,7 @@ let of_word word =
   let by_id = Array.of_list (List.sort Word.compare_length_lex all) in
   let ids = Hashtbl.create (Array.length by_id) in
   Array.iteri (fun i f -> Hashtbl.add ids f i) by_id;
-  { word; by_id; ids; concat_memo = Hashtbl.create 256 }
+  { word; by_id; ids }
 
 let word t = t.word
 let size t = Array.length t.by_id
@@ -33,14 +32,6 @@ let factor_of t i =
 let to_list t = Array.to_list t.by_id
 let iter f t = Array.iter f t.by_id
 let fold f init t = Array.fold_left f init t.by_id
-
-let concat_id t i j =
-  match Hashtbl.find_opt t.concat_memo (i, j) with
-  | Some r -> r
-  | None ->
-      let r = id_of t (factor_of t i ^ factor_of t j) in
-      Hashtbl.add t.concat_memo (i, j) r;
-      r
 
 let inter a b =
   let smaller, larger = if size a <= size b then (a, b) else (b, a) in

@@ -34,10 +34,6 @@ val to_list : t -> string list
 val iter : (string -> unit) -> t -> unit
 val fold : ('a -> string -> 'a) -> 'a -> t -> 'a
 
-val concat_id : t -> int -> int -> int option
-(** [concat_id t i j] is the id of [factor i ^ factor j] when that
-    concatenation is itself a factor, and [None] otherwise. Memoized. *)
-
 val inter : t -> t -> string list
 (** Factors common to both sets, in length-lexicographic order. *)
 

@@ -19,14 +19,6 @@ let test_ids () =
        (fun w -> Factors.factor_of f (Factors.id_of_exn f w) = w)
        (Factors.to_list f))
 
-let test_concat_id () =
-  let f = Factors.of_word "aba" in
-  let id w = Factors.id_of_exn f w in
-  Alcotest.(check (option int)) "ab·a" (Some (id "aba")) (Factors.concat_id f (id "ab") (id "a"));
-  Alcotest.(check (option int)) "a·a not factor" None (Factors.concat_id f (id "a") (id "a"));
-  Alcotest.(check (option int)) "memo stable" (Some (id "aba"))
-    (Factors.concat_id f (id "ab") (id "a"))
-
 let test_inter () =
   let f1 = Factors.of_word "aab" and f2 = Factors.of_word "baa" in
   Alcotest.(check (list string)) "common" [ ""; "a"; "b"; "aa" ] (Factors.inter f1 f2);
@@ -63,27 +55,12 @@ let prop_size_matches_naive =
       in
       List.sort compare (Factors.to_list (Factors.of_word w)) = naive)
 
-let prop_concat_closed =
-  QCheck.Test.make ~name:"concat_id sound" ~count:50 arb_word (fun w ->
-      let f = Factors.of_word w in
-      let all = Factors.to_list f in
-      List.for_all
-        (fun u ->
-          List.for_all
-            (fun v ->
-              let expected = Factors.id_of f (u ^ v) in
-              Factors.concat_id f (Factors.id_of_exn f u) (Factors.id_of_exn f v) = expected)
-            all)
-        all)
-
 let tests =
   ( "factors",
     [
       Alcotest.test_case "unary" `Quick test_unary;
       Alcotest.test_case "ids" `Quick test_ids;
-      Alcotest.test_case "concat ids" `Quick test_concat_id;
       Alcotest.test_case "intersection" `Quick test_inter;
       Alcotest.test_case "paper intersections" `Quick test_paper_intersections;
       QCheck_alcotest.to_alcotest prop_size_matches_naive;
-      QCheck_alcotest.to_alcotest prop_concat_closed;
     ] )
